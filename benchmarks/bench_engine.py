@@ -1,32 +1,31 @@
-"""Row vs vector vs columnar engine: speedups and differential checks.
+"""Row vs columnar engine: speedups and differential checks.
 
-The vectorized engine exists purely for throughput: every operator
-processes ``RowBatch`` slices through compiled batch kernels instead of
-pulling one tuple at a time through Python generators.  The columnar
-engine goes one step further: typed column arrays with validity
-bitmaps, dictionary-encoded strings, and selection vectors instead of
-copies (docs/execution.md).  Correctness is non-negotiable — the
-response-time simulation and QCC calibration are driven by
-``WorkMeter`` totals, so all three engines must produce identical rows
-*and* bit-identical metered work on every shape here.
+The columnar engine exists purely for throughput: typed column arrays
+with validity bitmaps, dictionary-encoded strings, and selection vectors
+instead of copies (docs/execution.md), where the row engine pulls one
+tuple at a time through Python generators.  Correctness is
+non-negotiable — the response-time simulation and QCC calibration are
+driven by ``WorkMeter`` totals, so both engines must produce identical
+rows *and* bit-identical metered work on every shape here.
 
-Two composite gates, each a total-wall-clock ratio over its suite:
+Two composite gates, each a total-wall-clock ratio of row over columnar
+across its suite:
 
 * ``SHAPES`` (numeric scan / filter / join / aggregate — the original
-  acceptance shapes): row over vector must reach
-  ``REPRO_BENCH_ENGINE_MIN`` (default 3x).  The columnar engine is
-  timed on these too and reported, but not gated — both batch engines
-  share the final tuple-materialisation boundary, which caps numeric
-  col/vec around 1.6-1.9x (see docs/execution.md).
+  acceptance shapes) must reach ``REPRO_BENCH_ENGINE_MIN`` (default
+  4.5x).
 * ``COLUMNAR_SHAPES`` (dictionary predicates, grouping, DISTINCT —
   where dict codes and selection vectors change the algorithm, not
-  just the constant): vector over columnar must reach
-  ``REPRO_BENCH_ENGINE_COL_MIN`` (default 3x).
+  just the constant) must reach ``REPRO_BENCH_ENGINE_COL_MIN`` (default
+  9x).
+
+``NLJ_SHAPES`` (nested-loop joins: a residual ON condition, a cross
+product under a filter) are timed and reported but not gated.
 
 Per-shape timings, rows/sec, and per-batch memory (columnar
 ``storage_bytes`` vs a deep ``getsizeof`` of the same rows as tuples)
 land in the JSON artifact for trend tracking (see BENCH_engine.json
-for the committed baseline).  CI's smoke job relaxes both gates for
+for the committed baseline).  CI's smoke job halves both gates for
 noisy shared runners.
 """
 
@@ -46,16 +45,16 @@ from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import BENCH_SCALE
 from repro.workload.schema import table_specs
 
-#: Composite row/vector speedup the numeric suite must demonstrate.
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "3.0"))
-#: Composite vector/columnar speedup the columnar suite must demonstrate.
-COL_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_COL_MIN", "3.0"))
+#: Composite row/columnar speedup the numeric suite must demonstrate.
+MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "4.5"))
+#: Composite row/columnar speedup the columnar suite must demonstrate.
+COL_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_COL_MIN", "9.0"))
 #: Timing repetitions per (shape, engine); best-of is reported.
 REPS = int(os.environ.get("REPRO_BENCH_ENGINE_REPS", "7"))
 #: Optional path for the standalone JSON artifact.
 ARTIFACT = os.environ.get("REPRO_BENCH_ENGINE_JSON", "")
 
-ENGINES = ("row", "vector", "columnar")
+ENGINES = ("row", "columnar")
 
 #: The scan-filter-join-aggregate shapes of the original acceptance
 #: criterion — numeric columns, unselective scans, tuple-heavy output.
@@ -134,6 +133,21 @@ COLUMNAR_SHAPES = (
 )
 
 
+#: Nested-loop joins (no equi-join key): reported, not gated.
+NLJ_SHAPES = (
+    (
+        "nlj-outer",
+        "SELECT c.custkey, s.suppkey FROM customer c LEFT JOIN supplier s "
+        "ON c.custkey < s.suppkey AND c.custkey > 250",
+    ),
+    (
+        "nlj-cross-filter",
+        "SELECT c.custkey, s.suppkey FROM customer c, supplier s "
+        "WHERE c.custkey * 2 < s.suppkey",
+    ),
+)
+
+
 @pytest.fixture(scope="module")
 def engine_db():
     database = Database(name="bench-engine")
@@ -184,7 +198,7 @@ def _best_time(database, plan, engine):
 
 
 def _measure_suite(database, shapes):
-    """Time every shape on all three engines; assert the differential."""
+    """Time every shape on both engines; assert the differential."""
     out = {}
     totals = dict.fromkeys(ENGINES, 0.0)
     for name, sql in shapes:
@@ -196,39 +210,38 @@ def _measure_suite(database, shapes):
             )
             totals[engine] += times[engine]
 
-        # Differential invariant: identical rows, bit-identical meters,
-        # across all three engines (none of these shapes has a LIMIT,
-        # the one construct where the row engine meters less work).
-        reference = results["vector"]
+        # Differential invariant: identical rows, bit-identical meters
+        # (none of these shapes has a LIMIT, the one construct where the
+        # row engine meters less work).
+        reference = results["row"]
         ref_meter = reference.meter
-        for engine in ("row", "columnar"):
-            assert results[engine].rows == reference.rows, (name, engine)
-            meter = results[engine].meter
-            assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
-                ref_meter.cpu_ms,
-                ref_meter.io_ms,
-                ref_meter.tuples_out,
-            ), (name, engine)
+        columnar = results["columnar"]
+        assert columnar.rows == reference.rows, name
+        meter = columnar.meter
+        assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
+            ref_meter.cpu_ms,
+            ref_meter.io_ms,
+            ref_meter.tuples_out,
+        ), name
 
         n = len(reference.rows)
-        row_s, vec_s, col_s = (
-            times["row"],
-            times["vector"],
-            times["columnar"],
-        )
+        row_s, col_s = times["row"], times["columnar"]
         out[name] = {
             "rows": n,
             "row_s": row_s,
-            "vector_s": vec_s,
             "columnar_s": col_s,
             "row_rows_per_sec": n / row_s if row_s > 0 else None,
-            "vector_rows_per_sec": n / vec_s if vec_s > 0 else None,
             "columnar_rows_per_sec": n / col_s if col_s > 0 else None,
-            "speedup": row_s / vec_s if vec_s > 0 else None,
-            "columnar_speedup": vec_s / col_s if col_s > 0 else None,
-            "columnar_over_row": row_s / col_s if col_s > 0 else None,
+            "speedup": row_s / col_s if col_s > 0 else None,
         }
     return out, totals
+
+
+def _composite(totals):
+    """Row over columnar across a whole suite."""
+    if totals["columnar"] <= 0:
+        return float("inf")
+    return totals["row"] / totals["columnar"]
 
 
 def _deep_row_bytes(rows):
@@ -270,16 +283,7 @@ def _memory_metrics(database, batch_size=1024):
 def _measure(database):
     shapes, totals = _measure_suite(database, SHAPES)
     col_shapes, col_totals = _measure_suite(database, COLUMNAR_SHAPES)
-    composite = (
-        totals["row"] / totals["vector"]
-        if totals["vector"] > 0
-        else float("inf")
-    )
-    col_composite = (
-        col_totals["vector"] / col_totals["columnar"]
-        if col_totals["columnar"] > 0
-        else float("inf")
-    )
+    nlj_shapes, nlj_totals = _measure_suite(database, NLJ_SHAPES)
     return {
         "scale": {
             "large_rows": BENCH_SCALE.large_rows,
@@ -288,9 +292,11 @@ def _measure(database):
         "reps": REPS,
         "shapes": shapes,
         "columnar_shapes": col_shapes,
+        "nlj_shapes": nlj_shapes,
         "memory": _memory_metrics(database),
-        "composite_speedup": composite,
-        "columnar_composite_speedup": col_composite,
+        "composite_speedup": _composite(totals),
+        "columnar_composite_speedup": _composite(col_totals),
+        "nlj_composite_speedup": _composite(nlj_totals),
     }
 
 
@@ -300,10 +306,8 @@ def _print_suite(title, shapes):
         print(
             f"{name:17s} rows={shape['rows']:6d} "
             f"row={shape['row_s'] * 1e3:7.1f}ms "
-            f"vec={shape['vector_s'] * 1e3:7.1f}ms "
             f"col={shape['columnar_s'] * 1e3:7.1f}ms "
-            f"row/vec={shape['speedup']:5.2f}x "
-            f"vec/col={shape['columnar_speedup']:5.2f}x"
+            f"row/col={shape['speedup']:5.2f}x"
         )
 
 
@@ -318,7 +322,7 @@ def test_engine_speedups(benchmark, engine_db):
         results["shapes"],
     )
     print(
-        f"composite row/vector speedup: "
+        f"composite row/columnar speedup: "
         f"{results['composite_speedup']:.2f}x "
         f"(required: {MIN_SPEEDUP:.1f}x)"
     )
@@ -327,9 +331,17 @@ def test_engine_speedups(benchmark, engine_db):
         results["columnar_shapes"],
     )
     print(
-        f"composite vector/columnar speedup: "
+        f"composite row/columnar speedup: "
         f"{results['columnar_composite_speedup']:.2f}x "
         f"(required: {COL_MIN_SPEEDUP:.1f}x)"
+    )
+    _print_suite(
+        "Engine benchmark: nested-loop joins (BENCH_SCALE, not gated)",
+        results["nlj_shapes"],
+    )
+    print(
+        f"composite row/columnar speedup: "
+        f"{results['nlj_composite_speedup']:.2f}x"
     )
     for table_name in ("lineitem", "tags"):
         mem = results["memory"][table_name]

@@ -31,9 +31,9 @@ Bundled invariants:
     an epoch bump.
 ``engine-equivalence``
     Rerunning the identical fault schedule on the row engine reproduces
-    the vector engine's behaviour bit-for-bit: same per-query status,
-    rows, retries, chosen servers, and (WorkMeter-derived) response and
-    per-fragment times.
+    the primary (columnar) pass's behaviour bit-for-bit: same per-query
+    status, rows, retries, chosen servers, and (WorkMeter-derived)
+    response and per-fragment times.
 ``shed-only-over-budget``
     Admission control only sheds a query when its class genuinely lacked
     headroom at decision time — the token bucket was empty or the
@@ -244,39 +244,39 @@ def check_cache_epoch(run: ScenarioRun) -> List[str]:
 
 
 def _engine_mismatch(
-    vector: QueryOutcome, row: QueryOutcome
+    primary: QueryOutcome, row: QueryOutcome
 ) -> Optional[str]:
-    if vector.status != row.status:
+    if primary.status != row.status:
         return (
-            f"status diverged (vector={vector.status}, row={row.status})"
+            f"status diverged (primary={primary.status}, row={row.status})"
         )
-    if vector.status != "ok":
+    if primary.status != "ok":
         return None
-    if not rows_close_unordered(vector.rows, row.rows):
+    if not rows_close_unordered(primary.rows, row.rows):
         return "result rows diverged"
-    if vector.retries != row.retries:
+    if primary.retries != row.retries:
         return (
-            f"retries diverged (vector={vector.retries}, row={row.retries})"
+            f"retries diverged (primary={primary.retries}, row={row.retries})"
         )
-    if vector.reroutes != row.reroutes:
+    if primary.reroutes != row.reroutes:
         return (
-            f"reroutes diverged (vector={vector.reroutes}, "
+            f"reroutes diverged (primary={primary.reroutes}, "
             f"row={row.reroutes})"
         )
-    if vector.servers != row.servers:
+    if primary.servers != row.servers:
         return (
-            f"routing diverged (vector={vector.servers}, row={row.servers})"
+            f"routing diverged (primary={primary.servers}, row={row.servers})"
         )
     if not math.isclose(
-        vector.response_ms, row.response_ms, rel_tol=1e-9, abs_tol=1e-9
+        primary.response_ms, row.response_ms, rel_tol=1e-9, abs_tol=1e-9
     ):
         return (
-            f"response time diverged (vector={vector.response_ms!r}, "
+            f"response time diverged (primary={primary.response_ms!r}, "
             f"row={row.response_ms!r})"
         )
-    if set(vector.fragment_ms) != set(row.fragment_ms):
+    if set(primary.fragment_ms) != set(row.fragment_ms):
         return "fragment sets diverged"
-    for fragment_id, observed in vector.fragment_ms.items():
+    for fragment_id, observed in primary.fragment_ms.items():
         if not math.isclose(
             observed, row.fragment_ms[fragment_id], rel_tol=1e-9, abs_tol=1e-9
         ):

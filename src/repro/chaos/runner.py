@@ -15,8 +15,8 @@ on the virtual clock and records everything the invariant checkers need:
 It then reruns the same workload twice more: once with the fault
 schedule stripped (the *fault-free oracle* — any completed chaos query
 must produce exactly the oracle's rows) and once on the row execution
-engine (the vector engine's answers, response times and per-fragment
-observed times must match bit-for-bit, faults included).
+engine (the primary columnar pass's answers, response times and
+per-fragment observed times must match bit-for-bit, faults included).
 
 Everything runs on virtual time with seeded randomness only, so a
 scenario is byte-reproducible from its spec alone.
@@ -96,7 +96,7 @@ class QueryOutcome:
     retries: int = 0
     servers: Tuple[str, ...] = ()
     #: per-fragment observed response time (WorkMeter-derived, so the
-    #: row and vector engines must agree bit-for-bit)
+    #: row and columnar engines must agree bit-for-bit)
     fragment_ms: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
     #: Admission priority class (concurrent scenarios only).
@@ -542,10 +542,9 @@ def run_scenario(
     disabled individually — the shrinker does so for checkers that don't
     need them.
 
-    The primary pass and the oracle run on the process-default engine
-    (``REPRO_ENGINE``, normally vector) so the chaos sweep exercises
-    whichever batch engine CI selects; the differential rerun is always
-    the row engine, the simplest independent implementation.
+    The primary pass and the oracle run on the default (columnar)
+    engine; the differential rerun is always the row engine, the
+    simplest independent implementation.
     """
     run = ScenarioRun(spec=spec, outcomes=[])
     run.outcomes = _execute(

@@ -20,6 +20,7 @@ Experiments accept ``--scale {test,bench,paper}`` (paper scale loads
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -35,6 +36,7 @@ from .obs.profile import (
 from .sqlengine import DEFAULT_ENGINE, ENGINES, REFERENCE_PROFILE
 from .sqlengine.cost import StatsContext
 from .sqlengine.physical import CostEstimator, stats_context_for_plan
+from .sqlengine.types import SqlError
 from .harness.experiments import (
     run_figure9,
     run_figure10,
@@ -492,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    # Experiments build their own federations internally; for them the
-    # engine is selected process-wide via REPRO_ENGINE instead.
     for command in (demo, query, explain, status, trace, metrics):
         command.add_argument(
             "--engine",
@@ -501,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "SQL execution engine for every server and the merge: "
-                "vector = batched row tuples, columnar = typed column "
-                "arrays with selection vectors, row = tuple-at-a-time "
-                f"(default: {DEFAULT_ENGINE}, or REPRO_ENGINE)"
+                "columnar = typed column arrays with selection vectors, "
+                "row = tuple-at-a-time reference oracle "
+                f"(default: {DEFAULT_ENGINE})"
             ),
         )
     return parser
@@ -549,6 +549,21 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _reports_sql_errors(command):
+    """Report a user SQL error as one ``error: ...`` line, exit code 2."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except SqlError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_reports_sql_errors
 def _cmd_query(args) -> int:
     scale = _SCALES[args.scale]
     deployment = build_federation(scale=scale, engine=args.engine)
@@ -574,6 +589,7 @@ def _cmd_query(args) -> int:
     return 0
 
 
+@_reports_sql_errors
 def _cmd_explain(args) -> int:
     scale = _SCALES[args.scale]
     deployment = build_federation(scale=scale, engine=args.engine)

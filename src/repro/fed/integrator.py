@@ -31,6 +31,7 @@ from ..sqlengine import (
     Row,
     Schema,
     ServerProfile,
+    SqlError,
     execute_plan,
     resolve_engine,
 )
@@ -375,10 +376,10 @@ class InformationIntegrator:
                 decomposed, plans = self.compile(
                     sql, t_attempt, excluded, staleness_tolerance_ms
                 )
-            except FederationError as exc:
-                self.patroller.fail(record, t0 + elapsed, str(exc))
-                obs.metrics.counter("ii_query_failures_total").inc()
-                obs.tracer.finish(trace, t0 + elapsed, status="failed")
+            except SqlError as exc:
+                # Unknown tables, parse errors and other user SQL errors
+                # fail this query alone: no retry, no server blamed.
+                self._fail_query(record, trace, t0 + elapsed, str(exc))
                 raise
             span = trace.begin("route", t_attempt)
             if self.qcc is not None:
@@ -408,6 +409,11 @@ class InformationIntegrator:
                 retries += 1
                 t_attempt = t0 + elapsed
                 continue
+            except SqlError as exc:
+                # A type error in the query's own data is the query's
+                # fault, not the server's: fail it without a retry.
+                self._fail_query(record, trace, t0 + elapsed, str(exc))
+                raise
             self.patroller.complete(record, t0 + result.response_ms)
             obs.metrics.histogram("ii_response_ms").observe(result.response_ms)
             obs.tracer.finish(trace, t0 + result.response_ms)
@@ -431,15 +437,28 @@ class InformationIntegrator:
             f" ({retries} attempts)"
             + (f": {last_error}" if last_error else "")
         )
-        self.patroller.fail(
+        self._fail_query(
             record,
+            trace,
             t0 + elapsed,
             message,
             server=last_error.server if last_error else None,
         )
-        obs.metrics.counter("ii_query_failures_total").inc()
-        obs.tracer.finish(trace, t0 + elapsed, status="failed")
         raise FederationError(message)
+
+    def _fail_query(
+        self,
+        record: PatrolRecord,
+        trace: QueryTrace,
+        t_ms: float,
+        error: str,
+        server: Optional[str] = None,
+    ) -> None:
+        """Settle a failed query: patrol record, failure counter, trace."""
+        obs = get_obs()
+        self.patroller.fail(record, t_ms, error, server=server)
+        obs.metrics.counter("ii_query_failures_total").inc()
+        obs.tracer.finish(trace, t_ms, status="failed")
 
     def _execute_plan(
         self,

@@ -20,7 +20,7 @@ inclusive totals, computed at report time by :class:`PlanProfile`.
 
 Profiling follows the same null-object pattern as ``NULL_REGISTRY``:
 the process-global profiler defaults to :data:`NULL_PROFILER`, and the
-operator dispatch in ``PhysicalPlan.rows``/``rows_batched`` reduces to
+operator dispatch in ``PhysicalPlan.rows``/``rows_columnar`` reduces to
 one attribute load and one identity check per stream open — nothing per
 row.  Enable with :func:`enable_profiling` or the :func:`profiling`
 context manager.
@@ -247,44 +247,6 @@ class OperatorProfiler:
             stats.wall_s += wall
             stats.meter_ms += virtual
 
-    def profile_batches(self, node: object, ctx: object) -> Iterator:
-        stats = self.stats_for(node)
-        stats.invocations += 1
-        meter = ctx.meter
-        perf = time.perf_counter
-        it = node._rows_batched(ctx)
-        rows_out = 0
-        batches = 0
-        wall = 0.0
-        virtual = 0.0
-        try:
-            while True:
-                m0 = meter.total_ms
-                t0 = perf()
-                try:
-                    batch = next(it)
-                except StopIteration:
-                    wall += perf() - t0
-                    virtual += meter.total_ms - m0
-                    break
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-                batches += 1
-                rows_out += len(batch)
-                yield batch
-        finally:
-            close = getattr(it, "close", None)
-            if close is not None:
-                m0 = meter.total_ms
-                t0 = perf()
-                close()
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-            stats.rows_out += rows_out
-            stats.batches += batches
-            stats.wall_s += wall
-            stats.meter_ms += virtual
-
     def profile_columnar(self, node: object, ctx: object) -> Iterator:
         stats = self.stats_for(node)
         stats.invocations += 1
@@ -337,9 +299,6 @@ class NullProfiler(OperatorProfiler):
 
     def profile_rows(self, node: object, ctx: object) -> Iterator:
         return node._rows(ctx)
-
-    def profile_batches(self, node: object, ctx: object) -> Iterator:
-        return node._rows_batched(ctx)
 
     def profile_columnar(self, node: object, ctx: object) -> Iterator:
         return node._rows_columnar(ctx)

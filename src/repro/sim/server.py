@@ -40,8 +40,8 @@ def exact_split(total: float, weights: List[float]) -> List[float]:
     one-ulp correction forces the left-to-right ``sum()`` of the shares
     to reproduce *total* bit-for-bit — the invariant per-batch
     attribution (and re-routing's demand splits) are tested against.
-    Weights must be non-negative with a positive sum (an all-zero weight
-    vector puts everything in the last share).
+    Weights must be non-negative with a positive sum (all-zero weights
+    put everything in the last share).
     """
     if not weights:
         return []

@@ -1,23 +1,20 @@
 """Plan execution entry points.
 
-Three engines run the same physical plan:
+Two engines run the same physical plan:
 
-* ``"vector"`` (default) — batch-at-a-time via ``rows_batched()`` and
-  compiled batch kernels over lists of row tuples;
-* ``"columnar"`` — batch-at-a-time via ``rows_columnar()`` over typed
-  column arrays with selection vectors (dict-encoded strings, validity
-  bitmaps, late materialisation at the output boundary);
-* ``"row"`` — the legacy tuple-at-a-time iterators.
+* ``"columnar"`` (default) — batch-at-a-time via ``rows_columnar()`` over
+  typed column arrays with selection vectors (dict-encoded strings,
+  validity bitmaps, late materialisation at the output boundary);
+* ``"row"`` — the tuple-at-a-time iterators, kept as the simple
+  reference oracle the columnar engine is differentially tested against.
 
-All produce identical rows *and* identical ``WorkMeter`` totals (see
+Both produce identical rows *and* identical ``WorkMeter`` totals (see
 docs/execution.md), so the choice is purely a wall-clock/throughput and
-memory knob.  The process-wide default can be overridden with the
-``REPRO_ENGINE`` environment variable.
+memory knob.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -33,10 +30,10 @@ from .physical import (
 from .storage import StorageManager
 from .types import Row, Schema, SqlError
 
-ENGINES = ("vector", "columnar", "row")
+ENGINES = ("columnar", "row")
 
-#: Process-wide default engine; "vector" unless overridden via env.
-DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE", "vector")
+#: Engine used when none is named.
+DEFAULT_ENGINE = "columnar"
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -85,17 +82,10 @@ def execute_plan(
         batch_size=batch_size,
     )
     start = time.perf_counter()
-    if chosen == "vector":
-        rows: List[Row] = []
-        extend = rows.extend
-        batches = 0
-        for batch in plan.rows_batched(ctx):
-            batches += 1
-            extend(batch)
-    elif chosen == "columnar":
+    if chosen == "columnar":
         # Late materialisation: row tuples exist only here, at the
         # result boundary.
-        rows = []
+        rows: List[Row] = []
         extend = rows.extend
         batches = 0
         for cbatch in plan.rows_columnar(ctx):

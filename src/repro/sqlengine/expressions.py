@@ -6,18 +6,7 @@ estimation, predicate pushdown) and compiled against a concrete
 execution.  Compilation happens once per operator, so the per-row path is a
 closure call with positional tuple indexing only.
 
-Each node additionally supports :meth:`Expression.compile_batch`, which
-returns a *batch kernel*: a callable taking a list of rows and returning
-the list of per-row results.  Kernels evaluate whole columns per call
-(list comprehensions over pre-extracted operand columns, C-level
-``operator`` functions for comparisons/arithmetic, surviving-index
-selection for AND/OR short-circuit), which is what the vectorized
-execution engine runs on.  A kernel must return exactly the values the
-per-row evaluator would — same Python objects semantics, same SQL
-three-valued logic, same error classes — so the two engines are
-interchangeable.
-
-The columnar engine adds two more compilation targets:
+The columnar engine adds two compilation targets:
 
 * :meth:`Expression.compile_columnar` — ``ColumnBatch`` -> value list
   aligned to the batch's selection.  Column-wise: operand columns are
@@ -30,9 +19,10 @@ The columnar engine adds two more compilation targets:
   literal on a dictionary-encoded column compares integer codes, never
   strings.
 
-Columnar kernels obey the same contract as batch kernels: identical
-values/selections, identical three-valued logic and identical error
-classes and messages as the row evaluator.
+A columnar kernel must return exactly the values the per-row evaluator
+would: identical values/selections, identical SQL three-valued logic and
+identical error classes and messages, so the two engines are
+interchangeable.
 """
 
 from __future__ import annotations
@@ -64,8 +54,6 @@ class ExpressionError(SqlError):
 
 Evaluator = Callable[[Row], Any]
 
-BatchEvaluator = Callable[[List[Row]], List[Any]]
-
 #: ColumnBatch -> list of values aligned with the batch's selection.
 ColumnarEvaluator = Callable[["ColumnBatch"], List[Any]]
 
@@ -88,15 +76,6 @@ class Expression:
 
     def compile(self, schema: Schema) -> Evaluator:
         raise NotImplementedError
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        """Compile into a batch kernel (rows -> list of values).
-
-        The default adapter evaluates the per-row closure per element;
-        nodes with a genuinely vectorizable shape override this.
-        """
-        evaluate = self.compile(schema)
-        return lambda rows: [evaluate(row) for row in rows]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         """Compile into a columnar kernel (ColumnBatch -> value list).
@@ -174,10 +153,6 @@ class Literal(Expression):
         value = self.value
         return lambda row: value
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        value = self.value
-        return lambda rows: [value] * len(rows)
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         value = self.value
         return lambda batch: [value] * len(batch)
@@ -218,10 +193,6 @@ class ColumnRef(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         idx = schema.index_of(self.name)
         return lambda row: row[idx]
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        idx = schema.index_of(self.name)
-        return lambda rows: [row[idx] for row in rows]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         idx = schema.index_of(self.name)
@@ -282,93 +253,6 @@ class Comparison(Expression):
                 ) from exc
 
         return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        op = "!=" if self.op == "<>" else self.op
-        cmp = _COMPARATORS[op]
-
-        # Literal fast paths: comparing a column against a constant is
-        # the dominant predicate shape; skip materialising the constant
-        # column and the zip.
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda rows: [None] * len(rows)
-            lf = self.left.compile_batch(schema)
-
-            def evaluate_right_literal(rows: List[Row]) -> List[Any]:
-                lvs = lf(rows)
-                try:
-                    return [
-                        None if a is None else cmp(a, rv) for a in lvs
-                    ]
-                except TypeError:
-                    pass
-                for a in lvs:
-                    if a is None:
-                        continue
-                    try:
-                        cmp(a, rv)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {a!r} {op} {rv!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
-
-            return evaluate_right_literal
-        if isinstance(self.left, Literal):
-            lv = self.left.value
-            if lv is None:
-                return lambda rows: [None] * len(rows)
-            rf = self.right.compile_batch(schema)
-
-            def evaluate_left_literal(rows: List[Row]) -> List[Any]:
-                rvs = rf(rows)
-                try:
-                    return [
-                        None if b is None else cmp(lv, b) for b in rvs
-                    ]
-                except TypeError:
-                    pass
-                for b in rvs:
-                    if b is None:
-                        continue
-                    try:
-                        cmp(lv, b)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {lv!r} {op} {b!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
-
-            return evaluate_left_literal
-
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            rvs = rf(rows)
-            try:
-                return [
-                    None if a is None or b is None else cmp(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-            except TypeError:
-                pass
-            # Slow path only to raise the same error as the row engine.
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    continue
-                try:
-                    cmp(a, b)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compare {a!r} {op} {b!r}"
-                    ) from exc
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        return evaluate_batch
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         op = "!=" if self.op == "<>" else self.op
@@ -694,28 +578,6 @@ class And(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            # Short-circuit via a selection vector: the right side only
-            # sees rows the left side did not already decide (is False),
-            # mirroring the row evaluator's early return.
-            need = [i for i, lv in enumerate(lvs) if lv is not False]
-            out: List[Any] = [False] * len(rows)
-            if not need:
-                return out
-            rvs = rf([rows[i] for i in need])
-            for i, rv in zip(need, rvs):
-                if rv is False:
-                    continue
-                out[i] = None if (lvs[i] is None or rv is None) else True
-            return out
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         lf = self.left.compile_columnar(schema)
         rf = self.right.compile_columnar(schema)
@@ -723,7 +585,7 @@ class And(Expression):
         def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
             lvs = lf(batch)
             sel = batch.selected()
-            # Same short-circuit as the batch kernel, expressed on the
+            # The row evaluator's short-circuit, expressed on the
             # selection: the right side only sees rows the left did not
             # already decide (is False).
             need_pos = [p for p, lv in enumerate(lvs) if lv is not False]
@@ -787,25 +649,6 @@ class Or(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            need = [i for i, lv in enumerate(lvs) if lv is not True]
-            out: List[Any] = [True] * len(rows)
-            if not need:
-                return out
-            rvs = rf([rows[i] for i in need])
-            for i, rv in zip(need, rvs):
-                if rv is True:
-                    continue
-                out[i] = None if (lvs[i] is None or rv is None) else False
-            return out
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         lf = self.left.compile_columnar(schema)
         rf = self.right.compile_columnar(schema)
@@ -828,7 +671,7 @@ class Or(Expression):
 
     def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
         # Value kernels (not sub-filters) so both sides observe exactly
-        # the rows the batch kernel would show them — this preserves
+        # the rows the row evaluator would show them — this preserves
         # error behaviour: the right side never sees rows the left
         # already proved True.
         lf = self.left.compile_columnar(schema)
@@ -881,10 +724,6 @@ class Not(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        return lambda rows: [None if v is None else not v for v in f(rows)]
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.operand.compile_columnar(schema)
         return lambda batch: [None if v is None else not v for v in f(batch)]
@@ -912,12 +751,6 @@ class IsNull(Expression):
         if self.negated:
             return lambda row: f(row) is not None
         return lambda row: f(row) is None
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        if self.negated:
-            return lambda rows: [v is not None for v in f(rows)]
-        return lambda rows: [v is None for v in f(rows)]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.operand.compile_columnar(schema)
@@ -1000,28 +833,6 @@ class Like(Expression):
             return (not matched) if negated else matched
 
         return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        match = self._regex().match
-        negated = self.negated
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in f(rows):
-                if value is None:
-                    append(None)
-                elif not isinstance(value, str):
-                    raise TypeMismatchError(
-                        f"LIKE requires a string, got {value!r}"
-                    )
-                else:
-                    matched = match(value) is not None
-                    append((not matched) if negated else matched)
-            return out
-
-        return evaluate_batch
 
     def _dict_matcher(self) -> Callable[[Tuple[str, ...]], frozenset]:
         """Per-dictionary evaluation: pattern-match each distinct string
@@ -1163,27 +974,6 @@ class InList(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        members = set(self.values)
-        negated = self.negated
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in f(rows):
-                if value is None:
-                    append(None)
-                    continue
-                try:
-                    matched = value in members
-                except TypeError as exc:
-                    raise TypeMismatchError(str(exc)) from exc
-                append((not matched) if negated else matched)
-            return out
-
-        return evaluate_batch
-
     def _dict_matcher(self) -> Callable[[Tuple[str, ...]], frozenset]:
         """Set of dictionary codes whose final IN answer is True, cached
         per dictionary object (see Like._dict_matcher)."""
@@ -1321,71 +1111,6 @@ class Arithmetic(Expression):
                 ) from exc
 
         return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        fn = _ARITHMETIC_FUNCS[self.op]
-        op_sql = self.op
-
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda rows: [None] * len(rows)
-            lf = self.left.compile_batch(schema)
-
-            def evaluate_right_literal(rows: List[Row]) -> List[Any]:
-                lvs = lf(rows)
-                try:
-                    return [None if a is None else fn(a, rv) for a in lvs]
-                except (ZeroDivisionError, TypeError):
-                    pass
-                out: List[Any] = []
-                for a in lvs:
-                    if a is None:
-                        out.append(None)
-                        continue
-                    try:
-                        out.append(fn(a, rv))
-                    except ZeroDivisionError:
-                        out.append(None)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compute {a!r} {op_sql} {rv!r}"
-                        ) from exc
-                return out
-
-            return evaluate_right_literal
-
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            rvs = rf(rows)
-            try:
-                return [
-                    None if a is None or b is None else fn(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-            except (ZeroDivisionError, TypeError):
-                pass
-            # Slow path: element-wise, with the row engine's error and
-            # NULL-on-division-by-zero semantics.
-            out: List[Any] = []
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    out.append(None)
-                    continue
-                try:
-                    out.append(fn(a, b))
-                except ZeroDivisionError:
-                    out.append(None)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compute {a!r} {op_sql} {b!r}"
-                    ) from exc
-            return out
-
-        return evaluate_batch
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         fn = _ARITHMETIC_FUNCS[self.op]
@@ -1585,11 +1310,6 @@ class FuncCall(Expression):
             return func(v)
 
         return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.arg.compile_batch(schema)
-        func = _SCALAR_FUNCS[self.name.upper()]
-        return lambda rows: [None if v is None else func(v) for v in f(rows)]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.arg.compile_columnar(schema)

@@ -9,27 +9,21 @@ Every operator supports two independent uses:
   meters the actual work performed (CPU/IO in reference-machine ms) into
   ``ctx.meter``; the simulation layer converts metered work into observed
   response time under the server's current load.
-* ``rows_batched(ctx)`` — batch-vectorized execution yielding lists of
-  row tuples.  The base class provides an adapter over ``rows()``; the
-  hot operators override it with genuine batch implementations driven by
-  :meth:`~repro.sqlengine.expressions.Expression.compile_batch` kernels.
 * ``rows_columnar(ctx)`` — columnar execution yielding
   :class:`~repro.sqlengine.columnar.ColumnBatch` objects (typed column
-  arrays + selection vector).  The base class adapts the batched row
-  stream by transposition; the hot operators override it with kernels
-  that narrow selections instead of copying rows and defer tuple
+  arrays + selection vector).  The base class chunks the ``_rows()``
+  stream and transposes each chunk; the hot operators override it with
+  kernels that narrow selections instead of copying rows and defer tuple
   construction to the ``Project``/serialisation boundary
   (``compile_columnar`` / ``compile_filter_columnar`` kernels).
 
 Metering is charged per *lifecycle event* (stream start, build/
 materialize phase end, stream end) as ``count * unit_cost`` with integer
-counts accumulated locally, in all engines, in the same order — so the
-row, vector and columnar engines produce bit-for-bit identical
-``WorkMeter`` totals for any plan that runs to completion (see
-docs/execution.md; a ``Limit`` that abandons its input early is the one
-documented exception, since the batched engines scan in batch
-granularity — vector and columnar share batch boundaries and therefore
-still meter identically to each other).
+counts accumulated locally, in both engines, in the same order — so the
+row and columnar engines produce bit-for-bit identical ``WorkMeter``
+totals for any plan that runs to completion (see docs/execution.md; a
+``Limit`` that abandons its input early is the one documented exception,
+since the columnar engine scans in batch granularity).
 
 Operators are immutable; a plan tree is shared freely between the
 optimizer, the explain table, QCC's records and the executor.
@@ -63,7 +57,6 @@ from .cost import (
 )
 from .expressions import (
     AggregateCall,
-    BatchEvaluator,
     ColumnRef,
     Expression,
     Literal,
@@ -74,10 +67,7 @@ from .parser import OrderItem, SelectItem
 from .storage import StorageManager
 from .types import Column, ColumnType, Row, Schema, SqlError
 
-#: A batch is a plain list of row tuples.
-RowBatch = List[Row]
-
-#: Rows per batch in the vectorized engine.  Large enough to amortise
+#: Rows per batch in the columnar engine.  Large enough to amortise
 #: per-batch Python overhead, small enough to keep batches cache-warm.
 DEFAULT_BATCH_SIZE = 1024
 
@@ -114,9 +104,9 @@ class WorkMeter:
 class ExecutionContext:
     """Everything an operator needs at run time.
 
-    ``engine`` records which execution path drives this context ("row",
-    "vector" or "columnar"); ``batch_size`` is the row count per batch
-    on the batched paths.  ``profiler`` is captured from the process-global
+    ``engine`` records which execution path drives this context ("row"
+    or "columnar"); ``batch_size`` is the row count per batch on the
+    columnar path.  ``profiler`` is captured from the process-global
     profiling state at construction time (``NULL_PROFILER`` unless
     ``repro.obs.profile.enable_profiling()`` is active), so every
     operator dispatch is one attribute load plus one identity check.
@@ -168,13 +158,6 @@ class PhysicalPlan:
             return self._rows(ctx)
         return profiler.profile_rows(self, ctx)
 
-    def rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Batched execution (dispatch; operators implement ``_rows_batched``)."""
-        profiler = ctx.profiler
-        if profiler is NULL_PROFILER:
-            return self._rows_batched(ctx)
-        return profiler.profile_batches(self, ctx)
-
     def rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution (dispatch; operators implement ``_rows_columnar``)."""
         profiler = ctx.profiler
@@ -185,38 +168,27 @@ class PhysicalPlan:
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         raise NotImplementedError
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Batched execution; yields non-empty lists of row tuples.
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        """Columnar execution; yields non-empty :class:`ColumnBatch`es.
 
-        The default adapter chunks the legacy ``_rows()`` stream, so any
-        operator without a native batch implementation (and any future
-        operator) is automatically correct on the vector path — it runs
-        the very same row code, metering included.  It chunks the
-        *private* stream so a profiled node is counted once, not once
-        per engine.
+        The default adapter chunks the operator's own ``_rows()`` stream
+        and transposes each chunk, so any operator without a native
+        columnar implementation (``SortMergeJoin``) is automatically
+        correct on the columnar path — it runs the very same row code,
+        metering included.  It chunks the *private* stream so a
+        profiled node is counted once, not once per engine.
         """
+        width = len(self.output_schema)
         size = ctx.batch_size
-        batch: RowBatch = []
+        batch: List[Row] = []
         append = batch.append
         for row in self._rows(ctx):
             append(row)
             if len(batch) >= size:
-                yield batch
+                yield ColumnBatch.from_rows(batch, width)
                 batch = []
                 append = batch.append
         if batch:
-            yield batch
-
-    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        """Columnar execution; yields non-empty :class:`ColumnBatch`es.
-
-        The default adapter transposes the batched row stream, so any
-        operator without a native columnar implementation is
-        automatically correct on the columnar path — batch boundaries
-        (and therefore metering) are exactly the vector engine's.
-        """
-        width = len(self.output_schema)
-        for batch in self._rows_batched(ctx):
             yield ColumnBatch.from_rows(batch, width)
 
     def describe(self) -> str:
@@ -327,42 +299,6 @@ class SeqScan(PhysicalPlan):
                 if predicate is None or predicate(row) is True:
                     emitted += 1
                     yield row
-        finally:
-            meter.cpu_ms += scanned * per_row
-            meter.tuples_out += emitted
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        heap = ctx.storage.table(self.table.name)
-        params = ctx.params
-        meter = ctx.meter
-        width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * params.seq_page_cost
-        kernels = (
-            [
-                c.compile_batch(self.output_schema)
-                for c in conjuncts(self.predicate)
-            ]
-            if self.predicate is not None
-            else []
-        )
-        ops = _count_operators(self.predicate)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        data = heap.rows
-        size = ctx.batch_size
-        scanned = 0
-        emitted = 0
-        try:
-            for start in range(0, len(data), size):
-                batch = data[start : start + size]
-                scanned += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    emitted += len(batch)
-                    yield batch
         finally:
             meter.cpu_ms += scanned * per_row
             meter.tuples_out += emitted
@@ -485,47 +421,6 @@ class IndexScan(PhysicalPlan):
             meter.cpu_ms += matched * per_row
             meter.tuples_out += emitted
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        heap = ctx.storage.table(self.table.name)
-        index = heap.index_on(self.column)
-        if index is None:
-            raise ExecutionError(
-                f"no index on {self.table.name}.{self.column}"
-            )
-        params = ctx.params
-        meter = ctx.meter
-        meter.io_ms += params.index_probe_cost
-        kernels = (
-            [
-                c.compile_batch(self.output_schema)
-                for c in conjuncts(self.residual)
-            ]
-            if self.residual is not None
-            else []
-        )
-        ops = _count_operators(self.residual)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        rids = index.lookup(self.value.value)
-        fetch = heap.fetch
-        size = ctx.batch_size
-        matched = 0
-        emitted = 0
-        try:
-            for start in range(0, len(rids), size):
-                batch = [fetch(rid) for rid in rids[start : start + size]]
-                matched += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    emitted += len(batch)
-                    yield batch
-        finally:
-            meter.cpu_ms += matched * per_row
-            meter.tuples_out += emitted
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
         index = heap.index_on(self.column)
@@ -622,31 +517,6 @@ class Filter(PhysicalPlan):
         finally:
             meter.cpu_ms += seen * per_row
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        # Conjunct-at-a-time selection vectors: each AND-ed conjunct is
-        # applied to the survivors of the previous one, so later (often
-        # costlier) conjuncts see progressively smaller batches.
-        kernels = [
-            c.compile_batch(self.output_schema)
-            for c in conjuncts(self.predicate)
-        ]
-        ops = _count_operators(self.predicate)
-        per_row = ops * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                seen += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    yield batch
-        finally:
-            meter.cpu_ms += seen * per_row
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Selection-vector filtering: conjuncts narrow the selection in
         # turn; no row is ever copied, surviving batches share their
@@ -721,27 +591,6 @@ class Project(PhysicalPlan):
             for row in self.child.rows(ctx):
                 seen += 1
                 yield tuple(f(row) for f in evaluators)
-        finally:
-            meter.cpu_ms += seen * per_row
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        kernels = [
-            item.expr.compile_batch(self.child.output_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        per_row = len(kernels) * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                seen += len(batch)
-                if kernels:
-                    # Column-at-a-time: each kernel produces one output
-                    # column; zip transposes back to row tuples at C speed.
-                    yield list(zip(*(k(batch) for k in kernels)))
-                else:
-                    yield [()] * len(batch)
         finally:
             meter.cpu_ms += seen * per_row
 
@@ -867,50 +716,76 @@ class NestedLoopJoin(PhysicalPlan):
         finally:
             meter.cpu_ms += pairs * per_pair
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        # Same loop as ``_rows``, one left batch at a time, emitting
+        # gathers instead of row tuples.  The ON condition runs as a
+        # selection kernel over one candidate batch per left row (its
+        # values broadcast against the inner columns) instead of one
+        # closure call per pair.
         params = ctx.params
         meter = ctx.meter
-        inner: List[Row] = []
-        for right_batch in self.right.rows_batched(ctx):
-            inner.extend(right_batch)
-        meter.cpu_ms += len(inner) * params.materialize_tuple_cost
+        right_batches = list(self.right.rows_columnar(ctx))
+        n_inner = sum(len(b) for b in right_batches)
+        meter.cpu_ms += n_inner * params.materialize_tuple_cost
+        inner_cols = tuple(
+            ValueColumn([v for b in right_batches for v in b.column_values(j)])
+            for j in range(len(self.right.output_schema))
+        )
         kernel = (
-            self.condition.compile_batch(self.output_schema)
-            if self.condition is not None
+            self.condition.compile_filter_columnar(self.output_schema)
+            if self.condition is not None and n_inner
             else None
         )
+        cross = self.condition is None and n_inner > 0
+        all_inner = list(range(n_inner))
         ops = max(_count_operators(self.condition), 1)
         per_pair = ops * params.cpu_operator_cost
-        null_pad = (None,) * len(self.right.output_schema)
         outer = self.outer
         pairs = 0
         try:
-            for batch in self.left.rows_batched(ctx):
-                pairs += len(batch) * len(inner)
-                out: RowBatch = []
-                if kernel is None:
-                    if inner:
-                        for left_row in batch:
-                            out.extend(
-                                left_row + right_row for right_row in inner
+            for batch in self.left.rows_columnar(ctx):
+                psel = batch.selected()
+                pairs += len(psel) * n_inner
+                gl: List[int] = []
+                gr: List[Optional[int]] = []
+                if kernel is not None:
+                    left_vals = [
+                        batch.column_values(j) for j in range(len(batch.cols))
+                    ]
+                    for k, pos in enumerate(psel):
+                        hits = kernel(
+                            ColumnBatch(
+                                tuple(
+                                    ValueColumn([vals[k]] * n_inner)
+                                    for vals in left_vals
+                                )
+                                + inner_cols,
+                                n_inner,
+                                None,
                             )
-                    elif outer:
-                        out = [left_row + null_pad for left_row in batch]
-                else:
-                    for left_row in batch:
-                        candidates = [
-                            left_row + right_row for right_row in inner
-                        ]
-                        keep = kernel(candidates) if candidates else []
-                        matched = False
-                        for combined, k in zip(candidates, keep):
-                            if k is True:
-                                matched = True
-                                out.append(combined)
-                        if outer and not matched:
-                            out.append(left_row + null_pad)
-                if out:
-                    yield out
+                        )
+                        if hits:
+                            gl.extend([pos] * len(hits))
+                            gr.extend(hits)
+                        elif outer:
+                            gl.append(pos)
+                            gr.append(None)
+                elif cross:
+                    for pos in psel:
+                        gl.extend([pos] * n_inner)
+                        gr.extend(all_inner)
+                elif outer:
+                    gl = list(psel)
+                    gr = [None] * len(psel)
+                if gl:
+                    out_cols: List[ColumnData] = [
+                        TakeColumn(col, gl) for col in batch.cols
+                    ]
+                    out_cols.extend(
+                        GatherColumn(col.values, gr, padded=outer)
+                        for col in inner_cols
+                    )
+                    yield ColumnBatch(tuple(out_cols), len(gl), None)
         finally:
             meter.cpu_ms += pairs * per_pair
 
@@ -1020,105 +895,6 @@ class HashJoin(PhysicalPlan):
                             yield combined
                 if self.outer and not matched:
                     yield left_row + null_pad
-        finally:
-            meter.cpu_ms += probed * params.hash_probe_cost
-            meter.cpu_ms += examined * params.cpu_tuple_cost
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        right_schema = self.right.output_schema
-        left_schema = self.left.output_schema
-        right_idx = [right_schema.index_of(k) for k in self.right_keys]
-        left_idx = [left_schema.index_of(k) for k in self.left_keys]
-        single = len(right_idx) == 1
-
-        # Build.  NULL keys never enter the buckets; a single-key join
-        # uses the bare value as the dict key (same grouping, no tuple
-        # allocation per row).
-        buckets: Dict[Any, List[Row]] = {}
-        setdefault = buckets.setdefault
-        built = 0
-        if single:
-            ri = right_idx[0]
-            for right_batch in self.right.rows_batched(ctx):
-                built += len(right_batch)
-                for row in right_batch:
-                    key = row[ri]
-                    if key is not None:
-                        setdefault(key, []).append(row)
-        else:
-            for right_batch in self.right.rows_batched(ctx):
-                built += len(right_batch)
-                for row in right_batch:
-                    key = tuple(row[i] for i in right_idx)
-                    if not any(v is None for v in key):
-                        setdefault(key, []).append(row)
-        meter.cpu_ms += built * params.hash_build_cost
-
-        kernel = (
-            self.residual.compile_batch(self.output_schema)
-            if self.residual is not None
-            else None
-        )
-        null_pad = (None,) * len(self.right.output_schema)
-        outer = self.outer
-        get = buckets.get
-        li = left_idx[0] if single else -1
-        probed = 0
-        examined = 0
-        try:
-            for batch in self.left.rows_batched(ctx):
-                probed += len(batch)
-                out: RowBatch = []
-                if kernel is None:
-                    # A NULL probe key (bare or inside the tuple) misses
-                    # the dict — NULLs never joined on the build side.
-                    for left_row in batch:
-                        rights = get(
-                            left_row[li]
-                            if single
-                            else tuple(left_row[i] for i in left_idx)
-                        )
-                        if rights:
-                            examined += len(rights)
-                            if len(rights) == 1:
-                                out.append(left_row + rights[0])
-                            else:
-                                out.extend(left_row + r for r in rights)
-                        elif outer:
-                            out.append(left_row + null_pad)
-                else:
-                    # Residual filter: gather candidates for the whole
-                    # batch, evaluate the residual kernel once, then
-                    # reassemble in left-row order (with outer padding).
-                    candidates: RowBatch = []
-                    counts: List[int] = []
-                    for left_row in batch:
-                        rights = get(
-                            left_row[li]
-                            if single
-                            else tuple(left_row[i] for i in left_idx)
-                        )
-                        if rights:
-                            examined += len(rights)
-                            candidates.extend(left_row + r for r in rights)
-                            counts.append(len(rights))
-                        else:
-                            counts.append(0)
-                    keep = kernel(candidates) if candidates else []
-                    pos = 0
-                    for left_row, n in zip(batch, counts):
-                        matched = False
-                        for k in range(pos, pos + n):
-                            if keep[k] is True:
-                                matched = True
-                                out.append(candidates[k])
-                        pos += n
-                        if outer and not matched:
-                            out.append(left_row + null_pad)
-                if out:
-                    yield out
         finally:
             meter.cpu_ms += probed * params.hash_probe_cost
             meter.cpu_ms += examined * params.cpu_tuple_cost
@@ -1795,129 +1571,6 @@ class HashAggregate(PhysicalPlan):
                 continue
             yield tuple(f(internal_row) for f in item_fns)
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        child_schema = self.child.output_schema
-        key_kernels = [e.compile_batch(child_schema) for e in self.group_by]
-        agg_specs = [
-            (call.name.upper(), call.distinct) for call in self._agg_calls
-        ]
-        # Several aggregates often share one argument expression
-        # (SUM(x), AVG(x), MIN(x)...): evaluate each distinct argument
-        # column once per batch.  ``arg_keys[i]`` indexes the shared
-        # column for call *i*, or is None for COUNT(*).
-        arg_keys: List[Optional[int]] = []
-        unique_kernels: List[BatchEvaluator] = []
-        seen_args: Dict[str, int] = {}
-        for call in self._agg_calls:
-            if call.arg is None:
-                arg_keys.append(None)
-                continue
-            sql = call.arg.sql()
-            pos = seen_args.get(sql)
-            if pos is None:
-                pos = len(unique_kernels)
-                seen_args[sql] = pos
-                unique_kernels.append(call.arg.compile_batch(child_schema))
-            arg_keys.append(pos)
-
-        # Group state is the same _AggState the row engine folds with, so
-        # float accumulation order — hence every result bit — matches.
-        # Rows are first bucketed into per-batch index lists (preserving
-        # first-occurrence group order and row order within each group),
-        # then each aggregate folds its column slice in one tight loop.
-        groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        get_group = groups.get
-        single = len(key_kernels) == 1
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
-        consumed = 0
-        for batch in self.child.rows_batched(ctx):
-            n = len(batch)
-            consumed += n
-            cols = [k(batch) for k in unique_kernels]
-            if not key_kernels:
-                states = get_group(())
-                if states is None:
-                    states = groups[()] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += n
-                    else:
-                        _fold_agg(state, cols[ak])
-                continue
-            if single:
-                key_col = key_kernels[0](batch)
-            else:
-                key_col = list(zip(*[k(batch) for k in key_kernels]))
-            index_lists: Dict[Any, List[int]] = {}
-            get_list = index_lists.get
-            for ri, kv in enumerate(key_col):
-                lst = get_list(kv)
-                if lst is None:
-                    index_lists[kv] = [ri]
-                else:
-                    lst.append(ri)
-            for kv, idxs in index_lists.items():
-                key = (kv,) if single else kv
-                states = get_group(key)
-                if states is None:
-                    states = groups[key] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += len(idxs)
-                    else:
-                        col = cols[ak]
-                        _fold_agg(state, [col[i] for i in idxs])
-        meter.cpu_ms += consumed * per_row
-
-        if not groups and not self.group_by:
-            groups[()] = [
-                _AggState(name, distinct) for name, distinct in agg_specs
-            ]
-
-        internal_schema = self._internal_schema()
-        group_map = {e.sql(): i for i, e in enumerate(self.group_by)}
-        item_kernels = [
-            _rewrite_over_internal(
-                item.expr, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        having_kernel = None
-        if self.having is not None:
-            having_kernel = _rewrite_over_internal(
-                self.having, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
-
-        per_group = len(self.items) * params.cpu_operator_cost
-        meter.cpu_ms += len(groups) * per_group
-        internal_rows: RowBatch = [
-            key + tuple(s.result() for s in states)
-            for key, states in groups.items()
-        ]
-        if having_kernel is not None:
-            keep = having_kernel(internal_rows)
-            internal_rows = [
-                r for r, k in zip(internal_rows, keep) if k is True
-            ]
-        if not internal_rows:
-            return
-        if item_kernels:
-            out = list(zip(*(k(internal_rows) for k in item_kernels)))
-        else:
-            out = [()] * len(internal_rows)
-        size = ctx.batch_size
-        for start in range(0, len(out), size):
-            yield out[start : start + size]
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
         meter = ctx.meter
@@ -1945,8 +1598,8 @@ class HashAggregate(PhysicalPlan):
                 fold_kinds.append(">")
             else:
                 fold_kinds.append("")
-        # Shared-argument dedup, exactly as the vector engine: each
-        # distinct argument expression is evaluated once per batch.
+        # Shared-argument dedup: each distinct argument expression is
+        # evaluated once per batch.
         arg_keys: List[Optional[int]] = []
         unique_kernels: List[Any] = []
         # Per unique argument: the child column index when the argument
@@ -2134,37 +1787,39 @@ class HashAggregate(PhysicalPlan):
 
         internal_schema = self._internal_schema()
         group_map = {e.sql(): i for i, e in enumerate(self.group_by)}
-        item_kernels = [
+        # Item and HAVING expressions run once per *group* over the
+        # internal (keys + aggregates) rows, so the per-row closures
+        # suffice; metering is per group either way.
+        item_fns = [
             _rewrite_over_internal(
                 item.expr, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
+            ).compile(internal_schema)
             for item in self.items
             if item.expr is not None
         ]
-        having_kernel = None
+        having_fn = None
         if self.having is not None:
-            having_kernel = _rewrite_over_internal(
+            having_fn = _rewrite_over_internal(
                 self.having, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
+            ).compile(internal_schema)
 
         per_group = len(self.items) * params.cpu_operator_cost
         meter.cpu_ms += len(groups) * per_group
-        internal_rows: RowBatch = [
+        internal_rows = [
             key + tuple(s.result() for s in states)
             for key, states in groups.items()
         ]
-        if having_kernel is not None:
-            keep = having_kernel(internal_rows)
+        if having_fn is not None:
             internal_rows = [
-                r for r, k in zip(internal_rows, keep) if k is True
+                r for r in internal_rows if having_fn(r) is True
             ]
         if not internal_rows:
             return
         size = ctx.batch_size
         total = len(internal_rows)
-        if item_kernels:
+        if item_fns:
             # Emit output groups column-wise — no row tuples.
-            out_cols = [k(internal_rows) for k in item_kernels]
+            out_cols = [[f(r) for r in internal_rows] for f in item_fns]
             for start in range(0, total, size):
                 stop = min(start + size, total)
                 yield ColumnBatch(
@@ -2232,31 +1887,6 @@ class Sort(PhysicalPlan):
         for fn, ascending in reversed(key_fns):
             data.sort(key=lambda row: _sort_key((fn(row),)), reverse=not ascending)
         yield from data
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        schema = self.child.output_schema
-        data: RowBatch = []
-        for batch in self.child.rows_batched(ctx):
-            data.extend(batch)
-        n = max(len(data), 1)
-        meter.cpu_ms += n * math.log2(n + 1.0) * params.sort_compare_cost
-        # Same stable right-to-left multi-pass as the row engine, but
-        # each pass sorts an index permutation keyed by a pre-computed
-        # decorated column ((is None, value) = NULLs last).
-        for o in reversed(self.order_by):
-            col = o.expr.compile_batch(schema)(data)
-            decorated = [(v is None, v) for v in col]
-            order = sorted(
-                range(len(data)),
-                key=decorated.__getitem__,
-                reverse=not o.ascending,
-            )
-            data = [data[i] for i in order]
-        size = ctx.batch_size
-        for start in range(0, len(data), size):
-            yield data[start : start + size]
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
@@ -2355,17 +1985,6 @@ class Limit(PhysicalPlan):
             if remaining == 0:
                 return
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        remaining = self.count
-        if remaining == 0:
-            return
-        for batch in self.child.rows_batched(ctx):
-            if len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            remaining -= len(batch)
-            yield batch
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         remaining = self.count
         if remaining == 0:
@@ -2417,26 +2036,6 @@ class Distinct(PhysicalPlan):
                     continue
                 seen.add(key)
                 yield row
-        finally:
-            meter.cpu_ms += consumed * params.hash_build_cost
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        seen = set()
-        add = seen.add
-        consumed = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                consumed += len(batch)
-                out: RowBatch = []
-                for row in batch:
-                    key = tuple((v is None, v) for v in row)
-                    if key not in seen:
-                        add(key)
-                        out.append(row)
-                if out:
-                    yield out
         finally:
             meter.cpu_ms += consumed * params.hash_build_cost
 
@@ -2530,17 +2129,20 @@ class MaterializedInput(PhysicalPlan):
         finally:
             meter.cpu_ms += emitted * per_row
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        # Slices the held rows directly: this leaf feeds every federated
+        # merge, so it must not go through the per-row chunking adapter.
         per_row = ctx.params.cpu_tuple_cost
         meter = ctx.meter
         data = self.data
+        width = len(self.output_schema)
         size = ctx.batch_size
         emitted = 0
         try:
             for start in range(0, len(data), size):
                 batch = data[start : start + size]
                 emitted += len(batch)
-                yield batch
+                yield ColumnBatch.from_rows(batch, width)
         finally:
             meter.cpu_ms += emitted * per_row
 

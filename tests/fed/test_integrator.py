@@ -189,3 +189,57 @@ class TestRetryAccounting:
             overhead + penalty,
             overhead + 2 * penalty,
         ]
+
+
+class TestUserSqlErrors:
+    """A bad query fails alone, with its own typed error, and leaves no
+    half-settled state behind: the patrol record is failed, the trace is
+    finished as failed, the failure is counted, and nothing is retried
+    or blamed on a server."""
+
+    @pytest.fixture()
+    def sink(self):
+        import repro.obs as obs
+
+        yield obs.configure(log_level=None)
+        obs.disable()
+
+    @pytest.mark.parametrize(
+        "sql,error",
+        [
+            ("SELECT * FROM nope", "BindError"),
+            ("SELEC orderkey FROM orders", "ParseError"),
+            (
+                "SELECT o.orderkey FROM orders o "
+                "WHERE o.totalprice > 'abc'",
+                "TypeMismatchError",
+            ),
+        ],
+        ids=["bind", "parse", "type-mismatch"],
+    )
+    def test_error_settles_query_and_reraises(
+        self, deployment, sink, sql, error
+    ):
+        from repro.sqlengine import SqlError
+
+        integrator = deployment.integrator
+        with pytest.raises(SqlError) as raised:
+            integrator.submit(sql, t_ms=0.0)
+        assert type(raised.value).__name__ == error
+
+        (record,) = list(integrator.patroller)
+        assert record.status is QueryStatus.FAILED
+        assert record.completed_ms is not None
+        assert record.error == str(raised.value)
+        assert record.failed_servers == []
+
+        assert sink.tracer.current is None
+        trace = sink.tracer.for_query(record.query_id)
+        assert trace is not None and trace.status == "failed"
+        assert sink.metrics.counter_value("ii_query_failures_total") == 1
+        assert sink.metrics.counter_value("ii_query_retries_total") == 0
+
+        # The next query is unaffected.
+        result = integrator.submit(SQL, t_ms=0.0)
+        assert result.row_count > 0
+        assert integrator.patroller.failure_count() == 1

@@ -114,7 +114,7 @@ class TestExplainCommand:
         assert "Ranked global plans" in out
         assert "p1[" in out
 
-    @pytest.mark.parametrize("engine", ["row", "vector"])
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
     def test_analyze_annotates_estimates_and_actuals(self, capsys, engine):
         code = main(
             [
@@ -133,16 +133,16 @@ class TestExplainCommand:
         assert "II merge plan:" in out
         assert re.search(r"\(est rows=\d+ total=", out)
         assert re.search(
-            r"\(actual rows=\d+ batches=\d+ loops=\d+ time=", out
+            r"\(actual rows=\d+ batches=\d+ (sel=\S+ )?loops=\d+ time=", out
         )
         # Both the fragment plan and the merge plan were annotated.
         assert out.count("actual rows=") >= 2
 
-    def test_analyze_row_and_vector_report_identical_row_counts(
+    def test_analyze_row_and_columnar_report_identical_row_counts(
         self, capsys
     ):
         counts = {}
-        for engine in ("row", "vector"):
+        for engine in ("row", "columnar"):
             assert (
                 main(
                     [
@@ -159,8 +159,58 @@ class TestExplainCommand:
             )
             out = capsys.readouterr().out
             counts[engine] = re.findall(r"actual rows=(\d+)", out)
-        assert counts["row"] == counts["vector"]
+        assert counts["row"] == counts["columnar"]
         assert counts["row"]
+
+
+class TestSqlErrors:
+    @pytest.mark.parametrize("command", ["query", "explain"])
+    @pytest.mark.parametrize(
+        "sql,message",
+        [
+            ("SELECT * FROM nope", "error: unknown table 'nope'"),
+            ("SELEC x", "error: expected SELECT at offset 0"),
+        ],
+        ids=["bind", "parse"],
+    )
+    def test_bad_sql_prints_one_line_and_exits_2(
+        self, capsys, command, sql, message
+    ):
+        code = main([command, sql, "--scale", "test"])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message)
+        assert "Traceback" not in captured.err
+
+    def test_analyze_type_error_prints_one_line(self, capsys):
+        code = main(
+            [
+                "explain",
+                "SELECT o.orderkey FROM orders o WHERE o.totalprice > 'abc'",
+                "--scale",
+                "test",
+                "--analyze",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot compare")
+
+    def test_engine_choices_are_columnar_and_row(self):
+        args = build_parser().parse_args(["query", "SELECT 1"])
+        assert args.engine is None
+        for engine in ("columnar", "row"):
+            args = build_parser().parse_args(
+                ["query", "SELECT 1", "--engine", engine]
+            )
+            assert args.engine == engine
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["query", "SELECT 1", "--engine", "vector"]
+            )
 
 
 class TestTelemetryCommands:

@@ -1,5 +1,5 @@
 """Operator profiler: counters, plan profiles, EXPLAIN ANALYZE rendering,
-and row-vs-vector equivalence on real federated queries."""
+and row-vs-columnar equivalence on real federated queries."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from repro.harness import (
     build_databases,
     build_federation,
 )
+from repro.sqlengine import ColumnBatch
 from repro.workload import QUERY_TYPES, TEST_SCALE
 
 
@@ -32,7 +33,7 @@ def engine_databases():
         engine: build_databases(
             DEFAULT_SERVER_SPECS, TEST_SCALE, seed=7, engine=engine
         )
-        for engine in ("row", "vector")
+        for engine in ("row", "columnar")
     }
 
 
@@ -53,9 +54,9 @@ class FakeNode:
     def _rows(self, ctx):
         yield from self._rows_data
 
-    def _rows_batched(self, ctx):
+    def _rows_columnar(self, ctx):
         if self._rows_data:
-            yield list(self._rows_data)
+            yield ColumnBatch.from_rows([(r,) for r in self._rows_data], 1)
 
 
 class FakeMeter:
@@ -97,15 +98,16 @@ class TestProfilerWrappers:
         assert stats.rows_out == 6
         assert stats.batches == 0
 
-    def test_profile_batches_counts_batches(self):
+    def test_profile_columnar_counts_batches(self):
         profiler = OperatorProfiler()
         node = FakeNode("scan", rows=[1, 2, 3])
         ctx = FakeCtx()
-        batches = list(profiler.profile_batches(node, ctx))
-        assert batches == [[1, 2, 3]]
+        batches = list(profiler.profile_columnar(node, ctx))
+        assert [b.materialize() for b in batches] == [[(1,), (2,), (3,)]]
         stats = profiler.capture().stats_for(node)
         assert stats.rows_out == 3
         assert stats.batches == 1
+        assert stats.selectivity == 1.0
 
     def test_meter_delta_attributed_to_node(self):
         profiler = OperatorProfiler()
@@ -274,33 +276,33 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "template", QUERY_TYPES, ids=[t.name for t in QUERY_TYPES]
     )
-    def test_row_and_vector_profiles_agree(
+    def test_row_and_columnar_profiles_agree(
         self, engine_databases, template
     ):
         sql = template.instance(0).sql
         row_counts, row_result = self._profiled_counts(
             engine_databases, "row", sql
         )
-        vec_counts, vec_result = self._profiled_counts(
-            engine_databases, "vector", sql
+        col_counts, col_result = self._profiled_counts(
+            engine_databases, "columnar", sql
         )
-        assert row_counts == vec_counts
+        assert row_counts == col_counts
         assert sorted(map(tuple, row_result.rows)) == sorted(
-            map(tuple, vec_result.rows)
+            map(tuple, col_result.rows)
         )
-        # The vector engine streams batches; the row engine never does.
+        # The columnar engine streams batches; the row engine never does.
         assert all(
             stats.batches == 0
             for _, stats in row_result.profile.operators()
         )
         assert any(
             stats.batches > 0
-            for _, stats in vec_result.profile.operators()
+            for _, stats in col_result.profile.operators()
         )
 
     def test_result_profile_attached_and_queryable(self, engine_databases):
         sql = QUERY_TYPES[0].instance(0).sql
-        _, result = self._profiled_counts(engine_databases, "vector", sql)
+        _, result = self._profiled_counts(engine_databases, "columnar", sql)
         profile = result.profile
         roots = profile.roots()
         # Fragment plans plus the II merge plan.
