@@ -662,6 +662,7 @@ def _cmd_status(args) -> int:
     return 0
 
 
+@_reports_sql_errors
 def _cmd_trace(args) -> int:
     obs.configure(log_level=None)
     scale = _SCALES[args.scale]

@@ -61,7 +61,7 @@ from ..sim import (
     ServerUnavailable,
     Work,
 )
-from ..sqlengine import MaterializedInput, PhysicalPlan, execute_plan
+from ..sqlengine import MaterializedInput, PhysicalPlan, SqlError, execute_plan
 from .admission import (
     AdmissionController,
     DEFAULT_CLASSES,
@@ -701,7 +701,9 @@ class ConcurrentRuntime:
                 decomposed, plans = ii.compile(
                     handle.sql, t_attempt, excluded, staleness_tolerance_ms
                 )
-            except FederationError as exc:
+            except SqlError as exc:
+                # Unknown tables, parse errors and other user SQL errors
+                # fail this query alone: no retry, no server blamed.
                 ii.patroller.fail(record, t0 + elapsed, str(exc))
                 obs.metrics.counter("ii_query_failures_total").inc()
                 root.annotate(status="failed", reason=str(exc))

@@ -231,6 +231,8 @@ class Optimizer:
         ):
             left, right = left_alt.plan, right_alt.plan
             if edges:
+                # Every join method of this pair shares one output schema.
+                schema = left.output_schema.concat(right.output_schema)
                 left_keys = []
                 right_keys = []
                 left_bound = frozenset(
@@ -240,7 +242,9 @@ class Optimizer:
                     lk, rk = edge.oriented(left_bound)
                     left_keys.append(lk)
                     right_keys.append(rk)
-                hash_join = HashJoin(left, right, left_keys, right_keys)
+                hash_join = HashJoin(
+                    left, right, left_keys, right_keys, output_schema=schema
+                )
                 results.append(
                     PlanCandidate(
                         hash_join, hash_join.estimate_cost(estimator)
@@ -248,7 +252,7 @@ class Optimizer:
                 )
                 if self.config.enable_merge_join:
                     merge_join = SortMergeJoin(
-                        left, right, left_keys, right_keys
+                        left, right, left_keys, right_keys, output_schema=schema
                     )
                     results.append(
                         PlanCandidate(
@@ -259,7 +263,9 @@ class Optimizer:
                     condition = combine_conjuncts(
                         [e.expression() for e in edges]
                     )
-                    nl_join = NestedLoopJoin(left, right, condition)
+                    nl_join = NestedLoopJoin(
+                        left, right, condition, output_schema=schema
+                    )
                     results.append(
                         PlanCandidate(
                             nl_join, nl_join.estimate_cost(estimator)

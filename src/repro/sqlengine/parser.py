@@ -19,6 +19,7 @@ so round-tripping is covered by property tests.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -669,8 +670,16 @@ class _Parser:
         return AggregateCall(name, arg, distinct=distinct)
 
 
+@functools.lru_cache(maxsize=256)
 def parse(sql: str) -> SelectStatement:
-    """Parse a SELECT statement into its AST."""
+    """Parse a SELECT statement into its AST.
+
+    Memoised on the exact text: the AST is all frozen dataclasses, so
+    one federated compile -- decompose, then an explain of each fragment
+    at every candidate server -- parses each distinct text once and
+    every caller shares the result.  A :class:`ParseError` propagates
+    and is not cached.
+    """
     return _Parser(tokenize(sql)).parse_select()
 
 

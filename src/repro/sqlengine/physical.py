@@ -4,7 +4,9 @@ Every operator supports two independent uses:
 
 * ``estimate_cost(estimator)`` — statistics-only costing.  This works on a
   catalog with **no data attached** (the "simulated federated system" of
-  the paper uses exactly this path for what-if planning).
+  the paper uses exactly this path for what-if planning).  Operators
+  implement ``_estimate_cost``; the public method memoises each node's
+  cost per estimator.
 * ``rows(ctx)`` — iterator execution against real storage.  Execution
   meters the actual work performed (CPU/IO in reference-machine ms) into
   ``ctx.meter``; the simulation layer converts metered work into observed
@@ -121,7 +123,15 @@ class ExecutionContext:
 
 
 class CostEstimator:
-    """Bundles the knobs used when costing a plan."""
+    """Bundles the knobs used when costing a plan.
+
+    ``memo`` maps each plan node already costed under this estimator to
+    its :class:`PlanCost` (see :meth:`PhysicalPlan.estimate_cost`).  It
+    lives and dies with the estimator -- one per ``optimize`` call, per
+    re-costing quote and per merge costing -- so a change of
+    statistics, profile or data is always seen by the next estimator
+    and the memo never needs invalidating.
+    """
 
     def __init__(
         self,
@@ -132,6 +142,7 @@ class CostEstimator:
         self.params = params
         self.profile = profile
         self.stats = stats
+        self.memo: Dict["PhysicalPlan", PlanCost] = {}
 
 
 class PhysicalPlan:
@@ -139,11 +150,28 @@ class PhysicalPlan:
 
     #: filled in by subclasses
     output_schema: Schema
+    #: memo of :meth:`signature`
+    _signature: Optional[str] = None
 
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
 
     def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+        """Estimated cost of this subtree (dispatch; operators implement
+        ``_estimate_cost``).
+
+        Memoised per estimator on node identity: plans are immutable, so
+        within one estimator (fixed parameters, profile and statistics)
+        a node's cost never changes, and a subtree shared by many join
+        candidates and finishing wrappers is costed once.
+        """
+        memo = estimator.memo
+        cost = memo.get(self)
+        if cost is None:
+            cost = memo[self] = self._estimate_cost(estimator)
+        return cost
+
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         raise NotImplementedError
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
@@ -200,10 +228,16 @@ class PhysicalPlan:
 
         Two plans with equal signatures perform identical work; the paper's
         fragment-level load balancing requires *identical* plans before it
-        will treat them as exchangeable (Section 4.1).
+        will treat them as exchangeable (Section 4.1).  Computed once per
+        node: the tree below an immutable node never changes.
         """
-        inner = ",".join(child.signature() for child in self.children())
-        return f"{self.describe()}[{inner}]" if inner else self.describe()
+        signature = self._signature
+        if signature is None:
+            inner = ",".join(child.signature() for child in self.children())
+            describe = self.describe()
+            signature = f"{describe}[{inner}]" if inner else describe
+            self._signature = signature
+        return signature
 
     def explain_lines(self, indent: int = 0) -> List[str]:
         lines = ["  " * indent + self.describe()]
@@ -258,7 +292,7 @@ class SeqScan(PhysicalPlan):
         self.predicate = predicate
         self.output_schema = table.schema.rename_table(binding)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         rows_in = self.table.stats.row_count
         width = self.output_schema.row_width_bytes()
@@ -368,7 +402,7 @@ class IndexScan(PhysicalPlan):
         self.residual = residual
         self.output_schema = table.schema.rename_table(binding)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         stats = self.table.stats.for_column(self.column)
         rows_in = self.table.stats.row_count
@@ -487,7 +521,7 @@ class Filter(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         child = self.child.estimate_cost(estimator)
         selectivity = estimate_selectivity(self.predicate, estimator.stats)
@@ -564,7 +598,7 @@ class Project(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         child = self.child.estimate_cost(estimator)
         cpu = profile.cpu_ms(
@@ -654,17 +688,20 @@ class NestedLoopJoin(PhysicalPlan):
         right: PhysicalPlan,
         condition: Optional[Expression] = None,
         outer: bool = False,
+        output_schema: Optional[Schema] = None,
     ):
         self.left = left
         self.right = right
         self.condition = condition
         self.outer = outer
-        self.output_schema = left.output_schema.concat(right.output_schema)
+        if output_schema is None:
+            output_schema = left.output_schema.concat(right.output_schema)
+        self.output_schema = output_schema
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         left = self.left.estimate_cost(estimator)
         right = self.right.estimate_cost(estimator)
@@ -812,6 +849,7 @@ class HashJoin(PhysicalPlan):
         right_keys: Sequence[str],
         residual: Optional[Expression] = None,
         outer: bool = False,
+        output_schema: Optional[Schema] = None,
     ):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("hash join requires matching key lists")
@@ -821,12 +859,16 @@ class HashJoin(PhysicalPlan):
         self.right_keys = tuple(right_keys)
         self.residual = residual
         self.outer = outer
-        self.output_schema = left.output_schema.concat(right.output_schema)
+        # Callers may pass the concatenation precomputed: the optimizer
+        # builds it once for every join method of one input pair.
+        if output_schema is None:
+            output_schema = left.output_schema.concat(right.output_schema)
+        self.output_schema = output_schema
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         left = self.left.estimate_cost(estimator)
         right = self.right.estimate_cost(estimator)
@@ -1154,6 +1196,7 @@ class SortMergeJoin(PhysicalPlan):
         right: PhysicalPlan,
         left_keys: Sequence[str],
         right_keys: Sequence[str],
+        output_schema: Optional[Schema] = None,
     ):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("merge join requires matching key lists")
@@ -1161,12 +1204,14 @@ class SortMergeJoin(PhysicalPlan):
         self.right = right
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
-        self.output_schema = left.output_schema.concat(right.output_schema)
+        if output_schema is None:
+            output_schema = left.output_schema.concat(right.output_schema)
+        self.output_schema = output_schema
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         left = self.left.estimate_cost(estimator)
         right = self.right.estimate_cost(estimator)
@@ -1477,7 +1522,7 @@ class HashAggregate(PhysicalPlan):
         )
         return Schema(tuple(columns))
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         child = self.child.estimate_cost(estimator)
         groups = self._estimate_groups(child.rows, estimator)
@@ -1859,7 +1904,7 @@ class Sort(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         child = self.child.estimate_cost(estimator)
         n = max(child.rows, 1.0)
@@ -1958,7 +2003,7 @@ class Limit(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         child = self.child.estimate_cost(estimator)
         rows_out = min(child.rows, float(self.count))
         if child.rows > 0:
@@ -2011,7 +2056,7 @@ class Distinct(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         child = self.child.estimate_cost(estimator)
         cpu = profile.cpu_ms(child.rows * params.hash_build_cost)
@@ -2107,7 +2152,7 @@ class MaterializedInput(PhysicalPlan):
         self.output_schema = schema
         self.data = list(data)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _estimate_cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         n = float(len(self.data))
         cpu = profile.cpu_ms(n * params.cpu_tuple_cost)

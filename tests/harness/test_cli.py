@@ -164,7 +164,7 @@ class TestExplainCommand:
 
 
 class TestSqlErrors:
-    @pytest.mark.parametrize("command", ["query", "explain"])
+    @pytest.mark.parametrize("command", ["query", "explain", "trace"])
     @pytest.mark.parametrize(
         "sql,message",
         [
@@ -174,7 +174,7 @@ class TestSqlErrors:
         ids=["bind", "parse"],
     )
     def test_bad_sql_prints_one_line_and_exits_2(
-        self, capsys, command, sql, message
+        self, capsys, clean_obs, command, sql, message
     ):
         code = main([command, sql, "--scale", "test"])
         assert code == 2

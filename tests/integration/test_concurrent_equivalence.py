@@ -11,8 +11,11 @@ feed the calibrator.
 
 import pytest
 
+import repro.obs as obs
 from repro.fed import ConcurrentRuntime, DEFAULT_CLASSES, PriorityClass
+from repro.fed.patroller import QueryStatus
 from repro.harness import build_federation
+from repro.sqlengine import BindError
 from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
 
@@ -97,6 +100,49 @@ class TestSingleQueryEquivalence:
         after = make_deployment().integrator.submit(instance.sql)
         assert before.response_ms == after.response_ms
         assert before.rows == after.rows
+
+
+class TestCompileFaultIsolation:
+    def test_bad_sql_fails_alone_beside_valid_queries(self, make_deployment):
+        """A query that fails to bind fails its own handle only: no
+        retry, no server blamed, and its neighbours run exactly as if
+        it had never been submitted."""
+        valid = (QT1.instance(0).sql, QT3.instance(0).sql)
+
+        def run(with_bad: bool):
+            runtime = ConcurrentRuntime(make_deployment().integrator)
+            handles = [runtime.submit_at(0.0, valid[0], klass="gold")]
+            bad = None
+            if with_bad:
+                bad = runtime.submit_at(0.0, "SELECT * FROM nope", klass="gold")
+            handles.append(runtime.submit_at(0.0, valid[1], klass="gold"))
+            runtime.run()
+            return runtime, handles, bad
+
+        _, reference, _ = run(with_bad=False)
+        obs.configure(metrics=True, tracing=True, log_level=None)
+        try:
+            runtime, neighbours, bad = run(with_bad=True)
+        finally:
+            obs.disable()
+
+        assert bad.status == "failed"
+        assert isinstance(bad.error, BindError)
+        assert runtime.failures() == [bad]
+        (record,) = [
+            r for r in runtime.integrator.patroller.records()
+            if r.sql == bad.sql
+        ]
+        assert record.status is QueryStatus.FAILED
+        assert record.failed_servers == []
+        assert record.completed_ms is not None
+        roots = [s for s in bad.trace.spans if s.name == "query"]
+        assert [r.attributes["status"] for r in roots] == ["failed"]
+        for got, want in zip(neighbours, reference):
+            assert got.status == "completed"
+            assert got.result.rows == want.result.rows
+            assert got.response_ms == want.response_ms
+            assert got.result.retries == 0
 
 
 class TestContentionInflation:
