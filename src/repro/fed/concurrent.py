@@ -14,15 +14,16 @@ calibrator observes load exactly the way the paper's testbed observed
 update storms, except the load now emerges from query concurrency
 itself.
 
-Equivalence guarantee: a query that meets no contention (every queue
-empty for its whole lifetime) observes sojourn == raw demand *exactly*
-(see :class:`~repro.sim.sched.Completion`), so a single query run
-through this runtime produces a bit-identical
-:class:`~repro.fed.integrator.FederatedResult` to ``integrator.submit``.
-``tests/integration/test_concurrent_equivalence.py`` enforces this.
+Equivalence guarantee: this module holds the one query lifecycle.
+``integrator.submit`` runs its query alone through the same coroutine
+(:meth:`ConcurrentRuntime._run_lone`), where it meets no contention —
+and uncontended work observes sojourn == raw demand *exactly* (see
+:class:`~repro.sim.sched.Completion`).  A golden digest in
+``tests/integration/test_sequential_lifecycle_digest.py`` pins it.
 
-Admission happens at the patroller's front door: each query carries a
-priority class; the :class:`~repro.fed.admission.AdmissionController`
+Admission happens at the patroller's front door of :meth:`submit_at`
+(a lone ``submit`` never passes it): each query carries a priority
+class; the :class:`~repro.fed.admission.AdmissionController`
 sheds it (recorded, budgeted, token-audited) before any work is done
 when the class is out of tokens or the backlog already exceeds its
 latency budget.
@@ -59,6 +60,7 @@ from ..sim import (
     MigratableWork,
     ServerQueue,
     ServerUnavailable,
+    VirtualClock,
     Work,
 )
 from ..sqlengine import MaterializedInput, PhysicalPlan, SqlError, execute_plan
@@ -132,8 +134,8 @@ class ConcurrentRuntime:
 
     ``discipline`` selects the per-server contention model (``"ps"``
     processor sharing or ``"fifo"``); ``server_capacity`` /
-    ``ii_capacity`` are service rates (1.0 = the sequential runtime's
-    speed).  The runtime owns the integrator's clock via its scheduler
+    ``ii_capacity`` are service rates (1.0 = the speed ``submit``
+    charges).  The runtime owns the integrator's clock via its scheduler
     and disables the integrator's own clock advancement.
 
     ``hedge_after_ms`` enables hedged fragment dispatch (the static
@@ -215,7 +217,10 @@ class ConcurrentRuntime:
     def _queue_for(self, server: str) -> ServerQueue:
         """Capacity queue for *server*, created lazily so servers that
         appear after construction (replica promotion, chaos topology
-        changes) still contend."""
+        changes) still contend.
+
+        A lone runtime (no admission) keeps none: each request gets a
+        fresh queue."""
         queue = self.queues.get(server)
         if queue is None:
             queue = ServerQueue(
@@ -224,10 +229,11 @@ class ConcurrentRuntime:
                 capacity=self.server_capacity,
                 discipline=self.discipline,
             )
-            self.queues[server] = queue
-            self.admission.backlog_sources[server] = queue
             if self._span_recorder is not None:
                 queue.events = self._span_recorder
+            if self.admission is not None:
+                self.queues[server] = queue
+                self.admission.backlog_sources[server] = queue
         return queue
 
     def _ensure_span_recorder(self) -> None:
@@ -624,6 +630,40 @@ class ConcurrentRuntime:
         """Run the event loop until quiescence (or *until_ms*)."""
         return self.scheduler.run(until_ms)
 
+    @classmethod
+    def _run_lone(
+        cls,
+        integrator: InformationIntegrator,
+        sql: str,
+        label: Optional[str],
+        t0_ms: float,
+        staleness_tolerance_ms: Optional[float],
+    ) -> QueryHandle:
+        """Run one query alone, for ``InformationIntegrator.submit``.
+
+        The private runtime has its own clock from *t0_ms* (an explicit
+        submit time may lie behind the integrator's clock, which stays
+        the caller's to advance), no admission, hedging or re-routing,
+        and a fresh queue per request: the query meets no contention,
+        not even between its own fragments on one server.
+        """
+        runtime = cls.__new__(cls)
+        runtime.integrator = integrator
+        runtime.hedging = runtime.rerouting = runtime.admission = None
+        runtime.scheduler = EventScheduler(VirtualClock(t0_ms))
+        runtime.discipline = "ps"
+        runtime.server_capacity = 1.0
+        runtime.queues = {}
+        runtime.ii_queue = ServerQueue(II_QUEUE, runtime.scheduler)
+        runtime._span_recorder = None
+        klass = min(DEFAULT_CLASSES, key=lambda c: c.rank).name
+        handle = QueryHandle(0, sql, klass, label, t0_ms)
+        runtime.scheduler.spawn(
+            runtime._query_process(handle, staleness_tolerance_ms), at_ms=t0_ms
+        )
+        runtime.run()
+        return handle
+
     # -- results ---------------------------------------------------------
 
     def completed(self) -> List[QueryHandle]:
@@ -656,33 +696,10 @@ class ConcurrentRuntime:
         root = trace.begin(
             "query", t0, klass=handle.klass, query_index=handle.index
         )
-        decision = self.admission.decide(handle.klass, t0)
-        trace.event(
-            "admission",
-            t0,
-            admitted=decision.admitted,
-            tokens_before=decision.tokens_before,
-            predicted_ms=decision.predicted_ms,
-            budget_ms=(
-                None if math.isinf(decision.budget_ms)
-                else decision.budget_ms
-            ),
-            reason=decision.reason or "admitted",
-        )
-        if not decision.admitted:
-            ii.patroller.shed(record, t0, decision.reason)
-            obs.metrics.counter(
-                "admission_shed_total",
-                klass=handle.klass,
-                reason=decision.reason,
-            ).inc()
-            trace.end(root, t0, status="shed", reason=decision.reason)
-            obs.tracer.finish(trace, t0, status="shed")
-            handle.shed = ShedVerdict(record=record, decision=decision)
+        if self.admission is not None and not self._admit(
+            handle, record, trace, root
+        ):
             return
-        obs.metrics.counter(
-            "admission_admitted_total", klass=handle.klass
-        ).inc()
 
         obs.metrics.counter("ii_queries_total").inc()
         if ii.qcc is not None:
@@ -693,7 +710,6 @@ class ConcurrentRuntime:
         retries = 0
         t_attempt = t0
         last_error: Optional[ServerUnavailable] = None
-        first_attempt = True
 
         while retries <= ii.max_retries:
             compile_span = trace.begin("compile", t_attempt, attempt=retries)
@@ -704,11 +720,7 @@ class ConcurrentRuntime:
             except SqlError as exc:
                 # Unknown tables, parse errors and other user SQL errors
                 # fail this query alone: no retry, no server blamed.
-                ii.patroller.fail(record, t0 + elapsed, str(exc))
-                obs.metrics.counter("ii_query_failures_total").inc()
-                root.annotate(status="failed", reason=str(exc))
-                obs.tracer.finish(trace, t0 + elapsed, status="failed")
-                handle.error = exc
+                self._fail(handle, record, trace, root, t0 + elapsed, exc)
                 return
             span = trace.begin("route", t_attempt)
             if ii.qcc is not None:
@@ -724,12 +736,10 @@ class ConcurrentRuntime:
                 estimated_total=chosen.total_cost,
                 candidates=len(plans),
             )
-            if first_attempt:
-                # The sequential runtime stamps dispatch at
-                # t0 + compile_overhead; retries recompile at the already
-                # advanced clock with no extra overhead (same as
-                # ``InformationIntegrator.submit``).
-                first_attempt = False
+            if retries == 0:
+                # Dispatch is stamped at t0 + compile_overhead; retries
+                # recompile at the already advanced clock with no extra
+                # overhead.
                 yield Delay(ii.compile_overhead_ms)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
@@ -742,7 +752,7 @@ class ConcurrentRuntime:
             # raw service demand (report=False defers QCC reporting until
             # the queue-inflated sojourn is known).
             executed = []  # (choice, option, execution, span)
-            failure: Optional[ServerUnavailable] = None
+            failure: Optional[Exception] = None
             for choice in chosen.choices:
                 # Explicit-parent spans: concurrent siblings overlap in
                 # virtual time, so they must not stack-nest.
@@ -757,7 +767,7 @@ class ConcurrentRuntime:
                     option, execution = mw.execute_option(
                         choice, t_dispatch, report=False
                     )
-                except ServerUnavailable as exc:
+                except (ServerUnavailable, SqlError) as exc:
                     failure = exc
                     trace.end(
                         frag_span, t_dispatch, failed=True, reason=str(exc)
@@ -768,27 +778,19 @@ class ConcurrentRuntime:
             if failure is not None:
                 # Fragments that did execute are reported with their raw
                 # demand — they never reached a queue because the attempt
-                # was abandoned.  This mirrors the sequential runtime,
-                # where execute_option reports each success before a
-                # later fragment raises.
+                # was abandoned — just as each success is reported before
+                # a later fragment raises.
                 for choice, option, execution, frag_span in executed:
                     mw.note_execution(option, execution, t_dispatch)
-                    estimated = option.estimated.total
-                    trace.end(
-                        frag_span,
-                        t_dispatch + execution.observed_ms,
-                        server=option.server,
-                        estimated_total=estimated,
-                        calibrated_total=option.calibrated.total,
-                        calibration_factor=(
-                            option.calibrated.total / estimated
-                            if estimated > 0
-                            else None
-                        ),
-                        observed_ms=execution.observed_ms,
-                        substituted=option.server != choice.server,
-                        engine=execution.engine,
+                    self._end_dispatch(
+                        trace, frag_span, t_dispatch + execution.observed_ms,
+                        choice, option, execution,
                     )
+                if isinstance(failure, SqlError):
+                    # A type error in the query's own data is the query's
+                    # fault, not the server's: fail it without a retry.
+                    self._fail(handle, record, trace, root, t_dispatch, failure)
+                    return
                 last_error = failure
                 excluded.add(failure.server)
                 ii.patroller.note_server_failure(record, failure.server)
@@ -895,7 +897,6 @@ class ConcurrentRuntime:
                 obs.metrics.gauge(
                     "sched_queue_depth", server=option.server
                 ).set(self._queue_for(option.server).depth)
-                estimated = option.estimated.total
                 hedge_tags = (
                     dict(
                         hedged=True,
@@ -917,20 +918,13 @@ class ConcurrentRuntime:
                     if reroute is not None
                     else {}
                 )
-                trace.end(
+                self._end_dispatch(
+                    trace,
                     frag_span,
                     completion.finished_ms,
-                    server=option.server,
-                    estimated_total=estimated,
-                    calibrated_total=option.calibrated.total,
-                    calibration_factor=(
-                        option.calibrated.total / estimated
-                        if estimated > 0
-                        else None
-                    ),
-                    observed_ms=inflated.observed_ms,
-                    substituted=option.server != choice.server,
-                    engine=execution.engine,
+                    choice,
+                    option,
+                    inflated,
                     queue_wait_ms=completion.wait_ms,
                     service_ms=completion.service_ms,
                     sojourn_ms=completion.sojourn_ms,
@@ -958,10 +952,18 @@ class ConcurrentRuntime:
             merge_span = trace.begin_child(
                 root, "merge", t_dispatch + remote_ms
             )
-            merge_plan = build_merge_plan(decomposed, inputs)
-            merge_result = execute_plan(
-                merge_plan, ii._merge_storage, ii.params, engine=ii.engine
-            )
+            try:
+                merge_plan = build_merge_plan(decomposed, inputs)
+                merge_result = execute_plan(
+                    merge_plan, ii._merge_storage, ii.params, engine=ii.engine
+                )
+            except SqlError as exc:
+                trace.end(
+                    merge_span, t_dispatch + remote_ms, failed=True,
+                    reason=str(exc),
+                )
+                self._fail(handle, record, trace, root, t_dispatch, exc)
+                return
             level = ii.load.level(t_dispatch)
             merge_demand_ms = ii.profile.cpu_ms(
                 merge_result.meter.cpu_ms
@@ -989,7 +991,7 @@ class ConcurrentRuntime:
                 "sched_queue_depth", server=II_QUEUE
             ).set(self.ii_queue.depth)
 
-            # Same formula as the sequential runtime, with queue-inflated
+            # The paper's response decomposition, with queue-inflated
             # components; the AllOf join resumes at max(fragment finish)
             # and the merge is submitted at that instant, so this equals
             # merge_completion.finished_ms - t0 up to float residue.
@@ -1056,19 +1058,84 @@ class ConcurrentRuntime:
             handle.result = result
             return
 
-        # Retries exhausted — same message shape as the sequential path.
+        # Retries exhausted.  ``retries`` has overshot by one on exit: it
+        # counts attempts (initial try included), not retries.
         message = (
             f"query failed after {ii.max_retries} retries"
             f" ({retries} attempts)"
             + (f": {last_error}" if last_error else "")
         )
-        ii.patroller.fail(
-            record,
-            t0 + elapsed,
-            message,
+        self._fail(
+            handle, record, trace, root, t0 + elapsed,
+            FederationError(message),
             server=last_error.server if last_error else None,
         )
+
+    def _admit(self, handle: QueryHandle, record, trace, root) -> bool:
+        """The admission front door: shed (and settle) the query, or
+        count it admitted."""
+        obs = get_obs()
+        t0 = handle.submitted_ms
+        decision = self.admission.decide(handle.klass, t0)
+        trace.event(
+            "admission",
+            t0,
+            admitted=decision.admitted,
+            tokens_before=decision.tokens_before,
+            predicted_ms=decision.predicted_ms,
+            budget_ms=(
+                None if math.isinf(decision.budget_ms)
+                else decision.budget_ms
+            ),
+            reason=decision.reason or "admitted",
+        )
+        if not decision.admitted:
+            self.integrator.patroller.shed(record, t0, decision.reason)
+            obs.metrics.counter(
+                "admission_shed_total",
+                klass=handle.klass,
+                reason=decision.reason,
+            ).inc()
+            trace.end(root, t0, status="shed", reason=decision.reason)
+            obs.tracer.finish(trace, t0, status="shed")
+            handle.shed = ShedVerdict(record=record, decision=decision)
+            return False
+        obs.metrics.counter(
+            "admission_admitted_total", klass=handle.klass
+        ).inc()
+        return True
+
+    def _fail(
+        self, handle: QueryHandle, record, trace: QueryTrace, root,
+        t_ms: float, error: Exception, server: Optional[str] = None,
+    ) -> None:
+        """Settle a failed query: patrol record, failure counter, trace,
+        and the handle's error."""
+        obs = get_obs()
+        self.integrator.patroller.fail(record, t_ms, str(error), server=server)
         obs.metrics.counter("ii_query_failures_total").inc()
-        root.annotate(status="failed", reason=message)
-        obs.tracer.finish(trace, t0 + elapsed, status="failed")
-        handle.error = FederationError(message)
+        root.annotate(status="failed", reason=str(error))
+        obs.tracer.finish(trace, t_ms, status="failed")
+        handle.error = error
+
+    @staticmethod
+    def _end_dispatch(
+        trace: QueryTrace, frag_span, t_ms: float, choice, option, execution,
+        **tags,
+    ) -> None:
+        """Close a fragment's dispatch span with its cost ledger."""
+        estimated = option.estimated.total
+        trace.end(
+            frag_span,
+            t_ms,
+            server=option.server,
+            estimated_total=estimated,
+            calibrated_total=option.calibrated.total,
+            calibration_factor=(
+                option.calibrated.total / estimated if estimated > 0 else None
+            ),
+            observed_ms=execution.observed_ms,
+            substituted=option.server != choice.server,
+            engine=execution.engine,
+            **tags,
+        )

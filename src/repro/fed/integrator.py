@@ -12,6 +12,10 @@ Runtime — dispatch the chosen fragment plans through the meta-wrapper
 locally, and log completion with the query patroller.  Fragments execute
 concurrently; the response time is ``max(fragment times) + merge time``,
 with the merge inflated by II's own load.
+
+Equivalence guarantee: :meth:`submit` runs its query alone through the
+lifecycle every :class:`~repro.fed.concurrent.ConcurrentRuntime` query
+walks, uncontended and without admission control.
 """
 
 from __future__ import annotations
@@ -20,19 +24,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, get_obs
-from ..obs.profile import NULL_PROFILER, PlanProfile, get_profiler
+from ..obs.profile import PlanProfile
 from ..sqlengine import (
     Catalog,
     CostParameters,
     DEFAULT_COST_PARAMETERS,
-    MaterializedInput,
     PhysicalPlan,
     REFERENCE_PROFILE,
     Row,
     Schema,
     ServerProfile,
-    SqlError,
-    execute_plan,
+    execute_plan,  # noqa: F401  # re-exported: perfbench hooks this binding
     resolve_engine,
 )
 from ..sqlengine.storage import StorageManager
@@ -41,7 +43,6 @@ from ..sim import (
     ContentionProfile,
     LoadSchedule,
     RemoteExecution,
-    ServerUnavailable,
     VirtualClock,
 )
 from ..wrappers.meta import MetaWrapper
@@ -52,8 +53,8 @@ from .global_optimizer import (
     GlobalPlan,
     enumerate_global_plans,
 )
-from .merge import build_merge_plan
-from .nicknames import FederationError, NicknameRegistry
+from .merge import build_merge_plan  # noqa: F401  # re-exported: perfbench hooks this binding
+from .nicknames import NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller
 from .plan_cache import CalibrationEpoch, PlanCache, plan_key
 from .routers import CostBasedRouter, Router
@@ -86,7 +87,7 @@ class FederatedResult:
     #: operator-level profile (only while profiling is enabled)
     profile: Optional[PlanProfile] = None
     #: fragments migrated mid-flight by the re-routing policy (always 0
-    #: on the sequential path and when re-routing is disabled)
+    #: for ``submit`` and when re-routing is disabled)
     reroutes: int = 0
 
     @property
@@ -352,216 +353,26 @@ class InformationIntegrator:
         t_ms: Optional[float] = None,
         staleness_tolerance_ms: Optional[float] = None,
     ) -> FederatedResult:
-        """Process one federated query end to end."""
+        """Process one federated query end to end.
+
+        The query runs alone through the concurrent runtime's lifecycle
+        (see :meth:`ConcurrentRuntime._run_lone`).  A user SQL error, or
+        a :class:`~repro.fed.nicknames.FederationError` once retries are
+        exhausted, is raised after the query is settled as failed.
+        """
+        # concurrent.py imports this module, so the runtime comes in late.
+        from .concurrent import ConcurrentRuntime
+
         t0 = self.clock.now if t_ms is None else t_ms
-        record = self.patroller.submit(sql, t0, label=label)
-        obs = get_obs()
-        obs.metrics.counter("ii_queries_total").inc()
-        trace = obs.tracer.start(record.query_id, sql, t0)
-        if self.qcc is not None:
-            self.qcc.tick(t0)
-
-        elapsed = self.compile_overhead_ms
-        excluded: set = set()
-        retries = 0
-        # Retry attempts recompile at the *advanced* clock — the failed
-        # attempt and its penalty have consumed virtual time, and a
-        # compilation stamped with the stale t0 would consult load,
-        # availability and replica freshness as of before the failure.
-        t_attempt = t0
-        last_error: Optional[ServerUnavailable] = None
-
-        while retries <= self.max_retries:
-            try:
-                decomposed, plans = self.compile(
-                    sql, t_attempt, excluded, staleness_tolerance_ms
-                )
-            except SqlError as exc:
-                # Unknown tables, parse errors and other user SQL errors
-                # fail this query alone: no retry, no server blamed.
-                self._fail_query(record, trace, t0 + elapsed, str(exc))
-                raise
-            span = trace.begin("route", t_attempt)
-            if self.qcc is not None:
-                chosen = self.qcc.recommend_global(decomposed, plans, t_attempt)
-            else:
-                chosen = self.router.choose(decomposed, plans, label, t_attempt)
-            trace.end(
-                span,
-                t_attempt,
-                servers=sorted(chosen.servers),
-                estimated_total=chosen.total_cost,
-                candidates=len(plans),
-            )
-            try:
-                result = self._execute_plan(
-                    decomposed, chosen, t0 + elapsed, record, retries
-                )
-            except ServerUnavailable as exc:
-                last_error = exc
-                excluded.add(exc.server)
-                self.patroller.note_server_failure(record, exc.server)
-                obs.metrics.counter("ii_query_retries_total").inc()
-                trace.event(
-                    "retry", t0 + elapsed, server=exc.server, attempt=retries
-                )
-                elapsed += self.failure_penalty_ms
-                retries += 1
-                t_attempt = t0 + elapsed
-                continue
-            except SqlError as exc:
-                # A type error in the query's own data is the query's
-                # fault, not the server's: fail it without a retry.
-                self._fail_query(record, trace, t0 + elapsed, str(exc))
-                raise
-            self.patroller.complete(record, t0 + result.response_ms)
-            obs.metrics.histogram("ii_response_ms").observe(result.response_ms)
-            obs.tracer.finish(trace, t0 + result.response_ms)
-            if trace is not NULL_TRACE:
-                result.trace = trace
-                self.explain_table.attach_trace(record.query_id, trace)
-            profiler = get_profiler()
-            if profiler is not NULL_PROFILER:
-                result.profile = profiler.capture()
-                self.explain_table.attach_profile(
-                    record.query_id, result.profile
-                )
-            if self.advance_clock and t_ms is None:
-                self.clock.advance(result.response_ms)
-            return result
-
-        # ``retries`` has overshot by one on exit: it counts *attempts*
-        # (initial try included), not retries.
-        message = (
-            f"query failed after {self.max_retries} retries"
-            f" ({retries} attempts)"
-            + (f": {last_error}" if last_error else "")
+        handle = ConcurrentRuntime._run_lone(
+            self, sql, label, t0, staleness_tolerance_ms
         )
-        self._fail_query(
-            record,
-            trace,
-            t0 + elapsed,
-            message,
-            server=last_error.server if last_error else None,
-        )
-        raise FederationError(message)
-
-    def _fail_query(
-        self,
-        record: PatrolRecord,
-        trace: QueryTrace,
-        t_ms: float,
-        error: str,
-        server: Optional[str] = None,
-    ) -> None:
-        """Settle a failed query: patrol record, failure counter, trace."""
-        obs = get_obs()
-        self.patroller.fail(record, t_ms, error, server=server)
-        obs.metrics.counter("ii_query_failures_total").inc()
-        obs.tracer.finish(trace, t_ms, status="failed")
-
-    def _execute_plan(
-        self,
-        decomposed: DecomposedQuery,
-        chosen: GlobalPlan,
-        t_ms: float,
-        record: PatrolRecord,
-        retries: int,
-    ) -> FederatedResult:
-        self.explain_table.record(record.query_id, record.sql, t_ms, chosen)
-        obs = get_obs()
-        trace = obs.tracer.current or NULL_TRACE
-
-        # Dispatch every fragment at the same instant (concurrently).
-        outcomes: Dict[str, FragmentOutcome] = {}
-        remote_ms = 0.0
-        for choice in chosen.choices:
-            span = trace.begin(
-                "dispatch",
-                t_ms,
-                fragment=choice.fragment.fragment_id,
-                server=choice.server,
-            )
-            option, execution = self.meta_wrapper.execute_option(choice, t_ms)
-            estimated = option.estimated.total
-            trace.end(
-                span,
-                t_ms + execution.observed_ms,
-                server=option.server,
-                estimated_total=estimated,
-                calibrated_total=option.calibrated.total,
-                calibration_factor=(
-                    option.calibrated.total / estimated if estimated > 0 else None
-                ),
-                observed_ms=execution.observed_ms,
-                substituted=option.server != choice.server,
-                engine=execution.engine,
-            )
-            outcomes[option.fragment.fragment_id] = FragmentOutcome(
-                option=option, execution=execution
-            )
-            remote_ms = max(remote_ms, execution.observed_ms)
-
-        # II-side merge over the fragment results.
-        inputs: Dict[str, PhysicalPlan] = {
-            fragment_id: MaterializedInput(
-                fragment_id,
-                decomposed.fragment_for_binding(
-                    outcome.option.fragment.bindings[0]
-                ).output_schema,
-                outcome.execution.rows,
-            )
-            for fragment_id, outcome in outcomes.items()
-        }
-        span = trace.begin("merge", t_ms + remote_ms)
-        merge_plan = build_merge_plan(decomposed, inputs)
-        merge_result = execute_plan(
-            merge_plan, self._merge_storage, self.params, engine=self.engine
-        )
-        level = self.load.level(t_ms)
-        merge_ms = (
-            self.profile.cpu_ms(merge_result.meter.cpu_ms)
-            * self.contention.cpu_multiplier(level)
-            + self.profile.io_ms(merge_result.meter.io_ms)
-            * self.contention.io_multiplier(level)
-        )
-        trace.end(
-            span,
-            t_ms + remote_ms + merge_ms,
-            estimated_total=chosen.merge_cost.total,
-            observed_ms=merge_ms,
-            rows=len(merge_result.rows),
-            ii_load=level,
-            engine=merge_result.engine,
-        )
-        obs.metrics.histogram("ii_merge_ms").observe(merge_ms)
-        obs.metrics.histogram("ii_remote_ms").observe(remote_ms)
-
-        response_ms = (t_ms - record.submitted_ms) + remote_ms + merge_ms
-
-        if self.qcc is not None:
-            raw_estimate = (
-                max(c.calibrated.total for c in chosen.choices)
-                + chosen.merge_cost.total
-            )
-            self.qcc.record_ii_execution(
-                estimated_total=raw_estimate,
-                observed_ms=remote_ms + merge_ms,
-                t_ms=t_ms,
-            )
-
-        return FederatedResult(
-            rows=merge_result.rows,
-            schema=merge_result.schema,
-            response_ms=response_ms,
-            plan=chosen,
-            fragments=outcomes,
-            record=record,
-            merge_ms=merge_ms,
-            remote_ms=remote_ms,
-            retries=retries,
-            merge_plan=merge_plan,
-        )
+        if handle.error is not None:
+            raise handle.error
+        result = handle.result
+        if self.advance_clock and t_ms is None:
+            self.clock.advance(result.response_ms)
+        return result
 
     # -- convenience -----------------------------------------------------
 

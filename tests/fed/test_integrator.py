@@ -146,7 +146,7 @@ class TestRetryAccounting:
     def _always_fail(deployment):
         from repro.sim import ServerUnavailable
 
-        def boom(choice, t_ms):
+        def boom(choice, t_ms, allow_substitution=True, report=True):
             raise ServerUnavailable(choice.server, t_ms, transient=True)
 
         deployment.meta_wrapper.execute_option = boom

@@ -1,12 +1,17 @@
 """Concurrent runtime vs sequential integrator: equivalence + inflation.
 
-The event scheduler must be a pure generalisation of the sequential
-runtime: a single query routed through :class:`ConcurrentRuntime` meets
+There is one query lifecycle: ``integrator.submit`` runs its query as
+the only query of a private :class:`ConcurrentRuntime`, so the
+single-query tests below compare the runtime coroutine with itself,
+entered through its two doors (``submit`` and ``submit_at``).  What pins
+the lifecycle's behaviour to the paper's sequential model is the golden
+digest in ``test_sequential_lifecycle_digest.py``.  A lone query meets
 no contention, so every observable — rows, response decomposition,
-routing, calibrator feedback — must be *bit-identical* to
-``integrator.submit`` on an identically seeded federation.  Only under
-actual overlap may observed times inflate, and then the inflation must
-feed the calibrator.
+routing, calibrator feedback — must be *bit-identical* between the two
+doors on an identically seeded federation.  Only under actual overlap
+may observed times inflate, and then the inflation must feed the
+calibrator.  A query that fails on its own SQL, at compile or at
+execution, fails alone.
 """
 
 import pytest
@@ -15,7 +20,7 @@ import repro.obs as obs
 from repro.fed import ConcurrentRuntime, DEFAULT_CLASSES, PriorityClass
 from repro.fed.patroller import QueryStatus
 from repro.harness import build_federation
-from repro.sqlengine import BindError
+from repro.sqlengine import BindError, TypeMismatchError
 from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
 
@@ -143,6 +148,115 @@ class TestCompileFaultIsolation:
             assert got.result.rows == want.result.rows
             assert got.response_ms == want.response_ms
             assert got.result.retries == 0
+
+
+class TestExecuteFaultIsolation:
+    def test_type_error_fails_alone_beside_valid_queries(
+        self, make_deployment
+    ):
+        """A query whose predicate compares a number with a string binds
+        and compiles, then fails while its fragment executes.  It fails
+        its own handle only: no retry, no server blamed, its patrol
+        record and trace settled, and its neighbours run exactly as if
+        it had never been submitted."""
+        valid = (QT1.instance(0).sql, QT1.instance(1).sql)
+        bad_sql = "SELECT o.orderkey FROM orders o WHERE o.totalprice > 'abc'"
+
+        def run(with_bad: bool):
+            runtime = ConcurrentRuntime(make_deployment().integrator)
+            handles = [runtime.submit_at(0.0, valid[0], klass="gold")]
+            bad = None
+            if with_bad:
+                bad = runtime.submit_at(0.0, bad_sql, klass="gold")
+            handles.append(runtime.submit_at(0.0, valid[1], klass="gold"))
+            runtime.run()
+            return runtime, handles, bad
+
+        _, reference, _ = run(with_bad=False)
+        obs.configure(metrics=True, tracing=True, log_level=None)
+        try:
+            runtime, neighbours, bad = run(with_bad=True)
+            retries = obs.get_obs().metrics.counter_value(
+                "ii_query_retries_total"
+            )
+        finally:
+            obs.disable()
+
+        assert bad.status == "failed"
+        assert isinstance(bad.error, TypeMismatchError)
+        assert runtime.failures() == [bad]
+        assert retries == 0
+        (record,) = [
+            r for r in runtime.integrator.patroller.records()
+            if r.sql == bad.sql
+        ]
+        assert record.status is QueryStatus.FAILED
+        assert record.failed_servers == []
+        assert record.completed_ms is not None
+        assert bad.trace.status == "failed"
+        roots = [s for s in bad.trace.spans if s.name == "query"]
+        assert [r.attributes["status"] for r in roots] == ["failed"]
+        for got, want in zip(neighbours, reference):
+            assert got.status == "completed"
+            assert got.result.rows == want.result.rows
+            assert got.response_ms == want.response_ms
+
+
+class TestLoneQuery:
+    def test_fragments_on_one_server_do_not_contend(self, make_deployment):
+        """``submit`` runs a query's fragments side by side: two
+        fragments routed to one server never queue behind each other,
+        and the remote phase is the slower of the two."""
+        sql = (
+            "SELECT COUNT(*) AS n FROM customer c, product p "
+            "WHERE c.custkey < 5 AND p.prodkey < 5"
+        )
+        integrator = make_deployment().integrator
+        obs.configure(metrics=True, tracing=True, log_level=None)
+        try:
+            result = integrator.submit(sql)
+        finally:
+            obs.disable()
+        servers = [c.server for c in result.plan.choices]
+        assert len(servers) == 2 and len(set(servers)) == 1
+        dispatches = result.trace.find("dispatch")
+        assert len(dispatches) == 2
+        for span in dispatches:
+            assert span.attributes["depth_at_arrival"] == 1
+            assert span.attributes["queue_wait_ms"] == 0.0
+            assert span.attributes["sojourn_ms"] == span.attributes["service_ms"]
+        assert result.remote_ms == max(
+            span.attributes["observed_ms"] for span in dispatches
+        )
+
+    def test_sequential_trace_decomposes_exactly(self, make_deployment):
+        """A traced ``submit`` carries the runtime's root span, so the
+        flight recorder answers "why was this query slow?" for it too."""
+        from repro.obs.flight import decompose_trace
+
+        integrator = make_deployment().integrator
+        obs.configure(metrics=True, tracing=True, log_level=None)
+        try:
+            result = integrator.submit(QT3.instance(0).sql)
+        finally:
+            obs.disable()
+        ledger = decompose_trace(result.trace)
+        assert ledger["status"] == "completed"
+        assert ledger["exact"] is True
+        assert ledger["total_ms"] == result.response_ms
+        assert ledger["admission_ms"] == 0.0
+
+    def test_submit_passes_no_admission(self, make_deployment):
+        integrator = make_deployment().integrator
+        sink = obs.configure(metrics=True, tracing=True, log_level=None)
+        try:
+            result = integrator.submit(QT1.instance(0).sql)
+            counters = sink.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert counters
+        assert not [name for name in counters if name.startswith("admission")]
+        assert result.trace.find("admission") == []
 
 
 class TestContentionInflation:
