@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.load_balance import rank_servers
@@ -54,10 +54,12 @@ from ..obs import (
 from ..obs.profile import NULL_PROFILER, get_profiler
 from ..sim import (
     AllOf,
+    Completion,
     Delay,
     EventScheduler,
-    HedgedWork,
-    MigratableWork,
+    RemoteExecution,
+    SecondLegOutcome,
+    SecondLegWork,
     ServerQueue,
     ServerUnavailable,
     VirtualClock,
@@ -80,8 +82,8 @@ from .integrator import (
 from .merge import build_merge_plan
 from .nicknames import FederationError
 from .rerouting import (
+    Checkpoint,
     ReroutePolicy,
-    RerouteSettle,
     batch_schedule,
     make_reroute_policy,
     merge_partial_rows,
@@ -129,6 +131,391 @@ class QueryHandle:
         return None
 
 
+#: Replicas within (1 + band) x the cheapest cost may take a fragment's
+#: second leg: the Section 4.1 exchangeability rule.
+SECOND_LEG_BAND = 0.2
+
+
+def _no_disarm() -> None:
+    """Disarm for a trigger that needs no withdrawal."""
+
+
+@dataclass
+class _Leg:
+    """A fired second leg: the replica's option, its execution there and
+    its span (plus, for a re-route, the primary's checkpoint)."""
+
+    option: FragmentOption
+    execution: RemoteExecution
+    span: object
+    point: Optional[Checkpoint] = None
+
+
+@dataclass
+class _Fragment:
+    """One dispatched fragment: its compile-time choice, the option and
+    execution run at dispatch, its dispatch span, and its second leg
+    once one has fired."""
+
+    choice: FragmentOption
+    option: FragmentOption
+    execution: RemoteExecution
+    span: object
+    leg: Optional[_Leg] = None
+
+
+@dataclass(frozen=True)
+class _Settled:
+    """A fragment whose dispatch has settled."""
+
+    #: The option whose rows flow on to the merge.
+    option: FragmentOption
+    completion: Completion
+    #: The fragment's latency as the query saw it.
+    effective_ms: float
+    #: The execution reported to the calibrator.
+    reported: RemoteExecution
+    #: The execution that flows on to the merge.
+    execution: RemoteExecution
+    #: Second-leg attributes for the dispatch span.
+    tags: Dict[str, object] = field(default_factory=dict)
+    rerouted: bool = False
+
+
+class _Dispatch:
+    """Fragment dispatch without a second leg: the primary alone."""
+
+    def __init__(self, runtime: "ConcurrentRuntime"):
+        self.runtime = runtime
+
+    def primary(self, fragment: _Fragment, trace: QueryTrace) -> Work:
+        """The fragment's raw demand at its server's capacity queue."""
+        runtime = self.runtime
+        return Work(
+            runtime._queue_for(fragment.option.server),
+            fragment.execution.observed_ms,
+            tag=runtime._span_tag(trace, fragment.span),
+        )
+
+    def request(self, fragment: _Fragment, trace: QueryTrace) -> object:
+        return self.primary(fragment, trace)
+
+    def settle(
+        self, fragment: _Fragment, completion: Completion,
+        t_dispatch: float, trace: QueryTrace,
+    ) -> _Settled:
+        inflated = dataclasses.replace(
+            fragment.execution, observed_ms=completion.sojourn_ms
+        )
+        return _Settled(
+            fragment.option, completion, completion.sojourn_ms,
+            inflated, inflated,
+        )
+
+
+class _SecondLeg(_Dispatch):
+    """Dispatch with a second leg to the next HRW-ranked replica.
+
+    The fire step is shared (:meth:`replica`, :meth:`launch`); each
+    subclass owns its trigger and pre-fire gate (in :meth:`request`),
+    the leg's demand (:meth:`demand`) and its settle accounting
+    (:meth:`settle`).
+    """
+
+    #: Name of the leg's child span under the dispatch span.
+    span_name: str
+    #: Counter bumped, per target server, when a leg fires.
+    fired_metric: str
+
+    def __init__(self, runtime: "ConcurrentRuntime", policy):
+        super().__init__(runtime)
+        self.policy = policy
+
+    def decline(self, reason: str) -> None:
+        """Account for a fire that sent no leg (hedges stay silent)."""
+
+    def demand(self, leg: _Leg) -> float:
+        """The leg's service demand at its target."""
+        return leg.execution.observed_ms
+
+    def replica(
+        self, fragment: _Fragment, t_fire: float
+    ) -> Optional[FragmentOption]:
+        """The replica the second leg should target.
+
+        Candidates are the fragment's compile-time siblings with an
+        *identical* plan on a different server, near the cluster's
+        cheapest cost (:data:`SECOND_LEG_BAND`), walked in HRW rank
+        order: the target is the highest-ranked exchangeable replica
+        believed available at the instant the leg fires.
+        """
+        primary = fragment.option
+        integrator = self.runtime.integrator
+        qcc = integrator.qcc
+        matches = [
+            option
+            for option in integrator.meta_wrapper.sibling_options(
+                primary.fragment.signature
+            )
+            if option.server != primary.server
+            and option.plan_signature == primary.plan_signature
+            and option.is_viable
+        ]
+        if matches:
+            cheapest = min(
+                [o.calibrated.total for o in matches]
+                + [primary.calibrated.total]
+            )
+            by_server: Dict[str, FragmentOption] = {}
+            for option in matches:
+                if option.calibrated.total <= cheapest * (
+                    1.0 + SECOND_LEG_BAND
+                ):
+                    by_server.setdefault(option.server, option)
+            for server in rank_servers(
+                primary.fragment.signature, sorted(by_server)
+            ):
+                if qcc is None or qcc.is_available(server, t_fire):
+                    return by_server[server]
+        self.decline("no-replica")
+        return None
+
+    def launch(
+        self,
+        fragment: _Fragment,
+        trace: QueryTrace,
+        t_fire: float,
+        target: FragmentOption,
+        point: Optional[Checkpoint] = None,
+        **span_attrs,
+    ) -> Optional[Work]:
+        """Fire the leg at *target*: learn its demand by executing the
+        fragment there (``report=False``: a second leg never feeds the
+        calibrator), open its span and count it."""
+        runtime = self.runtime
+        try:
+            target, execution = runtime.integrator.meta_wrapper.execute_option(
+                target, t_fire, allow_substitution=False, report=False
+            )
+        except ServerUnavailable:
+            self.decline("target-down")
+            return None
+        # The leg's queue lifecycle (queue_wait / service, or a cancelled
+        # slice) hangs off this span, inside the fragment's dispatch span.
+        span = trace.begin_child(
+            fragment.span,
+            self.span_name,
+            t_fire,
+            fragment=fragment.choice.fragment.fragment_id,
+            primary=fragment.option.server,
+            server=target.server,
+            **span_attrs,
+            fired_ms=t_fire,
+        )
+        fragment.leg = leg = _Leg(target, execution, span, point)
+        get_obs().metrics.counter(
+            self.fired_metric, server=target.server
+        ).inc()
+        return Work(
+            runtime._queue_for(target.server),
+            self.demand(leg),
+            tag=runtime._span_tag(trace, span),
+        )
+
+
+class _Hedging(_SecondLeg):
+    """Hedged dispatch: a timer fires a backup; the first completion wins.
+
+    The backup's replica, availability, fanout cap and demand all
+    reflect the state at the instant the timer fires.
+    """
+
+    span_name = "hedge_backup"
+    fired_metric = "hedge_fired_total"
+
+    def request(self, fragment: _Fragment, trace: QueryTrace) -> SecondLegWork:
+        policy: HedgePolicy = self.policy
+        after_ms = policy.hedge_after(
+            generalize_signature(fragment.option.fragment.signature)
+        )
+        scheduler = self.runtime.scheduler
+
+        def arm(fire):
+            # The timer stays on the heap after the primary settles: it
+            # fires into a settled request, and run() still advances the
+            # clock to it.
+            scheduler.call_later(after_ms, fire)
+            return _no_disarm
+
+        def build(t_fire: float, _consumed_ms: float) -> Optional[Work]:
+            target = self.replica(fragment, t_fire)
+            if target is None:
+                return None
+            queue = self.runtime._queue_for(target.server)
+            if not policy.allow_backup(queue.depth):
+                policy.suppressed += 1
+                get_obs().metrics.counter(
+                    "hedge_suppressed_total", server=target.server
+                ).inc()
+                return None
+            return self.launch(fragment, trace, t_fire, target)
+
+        return SecondLegWork(
+            self.primary(fragment, trace), arm, build, race=True
+        )
+
+    def settle(
+        self, fragment: _Fragment, outcome: SecondLegOutcome,
+        t_dispatch: float, trace: QueryTrace,
+    ) -> _Settled:
+        """Resolve the race to the winner's option and execution and
+        account for the cancelled loser."""
+        policy: HedgePolicy = self.policy
+        completion = outcome.completion
+        option, execution = fragment.option, fragment.execution
+        effective_ms = completion.sojourn_ms
+        winner = "backup" if outcome.leg_won else "primary"
+        wasted_ms = outcome.cancelled_ms
+        tags: Dict[str, object] = {}
+        if outcome.fired:
+            leg = fragment.leg
+            loser = leg.option
+            if outcome.leg_won:
+                loser, option, execution = option, leg.option, leg.execution
+                # The query's real fragment latency includes the hedge
+                # wait before the backup was even fired.
+                effective_ms = completion.finished_ms - t_dispatch
+                get_obs().metrics.counter(
+                    "hedge_backup_wins_total", server=option.server
+                ).inc()
+            self.runtime.integrator.meta_wrapper.note_hedge_waste(
+                loser, wasted_ms, completion.finished_ms
+            )
+            trace.end(
+                leg.span, completion.finished_ms,
+                winner=winner, wasted_ms=wasted_ms,
+            )
+            tags = dict(
+                hedged=True,
+                hedge_fired=True,
+                hedge_winner=winner,
+                backup_wins=outcome.leg_won,
+                hedge_wasted_ms=wasted_ms,
+            )
+        policy.note_outcome(outcome.fired, winner, wasted_ms)
+        policy.observe(
+            generalize_signature(option.fragment.signature), effective_ms
+        )
+        inflated = dataclasses.replace(execution, observed_ms=effective_ms)
+        return _Settled(
+            option, completion, effective_ms, inflated, inflated, tags
+        )
+
+
+class _Rerouting(_SecondLeg):
+    """Mid-query re-routing: a calibration-epoch bump (availability flips
+    bump it too) checkpoints the consumed batches and moves the
+    unshipped tail to the replica, cancelling the primary."""
+
+    span_name = "reroute"
+    fired_metric = "reroute_fired_total"
+
+    def decline(self, reason: str) -> None:
+        self.policy.note_declined(reason)
+        get_obs().metrics.counter(
+            "reroute_declined_total", reason=reason
+        ).inc()
+
+    def demand(self, leg: _Leg) -> float:
+        """Only the unshipped tail moves."""
+        return tail_demand_ms(leg.execution, leg.point.cut_row)
+
+    def request(self, fragment: _Fragment, trace: QueryTrace) -> SecondLegWork:
+        policy: ReroutePolicy = self.policy
+        epoch = self.runtime.integrator.calibration_epoch
+        schedule = batch_schedule(fragment.execution, policy.config.batch_rows)
+
+        def arm(fire):
+            if epoch is None or len(schedule) <= 1:
+                # A single-batch fragment has no boundary to move at.
+                return _no_disarm
+            return epoch.subscribe(lambda _value: fire())
+
+        def build(t_fire: float, consumed_ms: float) -> Optional[Work]:
+            point = policy.checkpoint(schedule, consumed_ms)
+            if not policy.should_migrate(schedule, point):
+                self.decline("drained")
+                return None
+            target = self.replica(fragment, t_fire)
+            if target is None:
+                return None
+            return self.launch(
+                fragment, trace, t_fire, target, point,
+                cut_row=point.cut_row,
+                batches_kept=point.batches_kept,
+            )
+
+        return SecondLegWork(
+            self.primary(fragment, trace), arm, build, race=False
+        )
+
+    def settle(
+        self, fragment: _Fragment, outcome: SecondLegOutcome,
+        t_dispatch: float, trace: QueryTrace,
+    ) -> _Settled:
+        """Merge a moved fragment's partial results and account for the
+        cancelled primary."""
+        completion = outcome.completion
+        if not outcome.fired:
+            return super().settle(fragment, completion, t_dispatch, trace)
+        leg = fragment.leg
+        point = leg.point
+        execution = fragment.execution
+        # The fragment's real latency spans primary dispatch through the
+        # moved tail's completion.
+        effective_ms = completion.finished_ms - t_dispatch
+        merged_rows = merge_partial_rows(
+            execution.rows, leg.execution.rows, point.cut_row
+        )
+        migrated_rows = execution.row_count - point.cut_row
+        wasted_ms = max(0.0, outcome.cancelled_ms - point.kept_demand_ms)
+        self.policy.note_fired(migrated_rows, wasted_ms)
+        self.runtime.integrator.meta_wrapper.note_reroute(
+            fragment.option,
+            leg.option,
+            cut_row=point.cut_row,
+            wasted_ms=wasted_ms,
+            t_ms=completion.finished_ms,
+        )
+        trace.end(
+            leg.span,
+            completion.finished_ms,
+            migrated_rows=migrated_rows,
+            wasted_ms=wasted_ms,
+        )
+        # Calibrator discipline: the primary's raw demonstrated demand is
+        # reported unchanged, so the move improves the query's latency
+        # without teaching QCC counterfactual per-server costs (see
+        # repro.fed.rerouting).  What flows to the merge carries the
+        # merged prefix + tail rows and the true end-to-end latency.
+        return _Settled(
+            fragment.option,
+            completion,
+            effective_ms,
+            execution,
+            dataclasses.replace(
+                execution, rows=merged_rows, observed_ms=effective_ms
+            ),
+            dict(
+                rerouted=True,
+                reroute_to=leg.option.server,
+                reroute_cut_row=point.cut_row,
+                reroute_wasted_ms=wasted_ms,
+            ),
+            rerouted=True,
+        )
+
+
 class ConcurrentRuntime:
     """Event-driven multi-query front end over one integrator.
 
@@ -149,9 +536,9 @@ class ConcurrentRuntime:
     calibration-epoch bump checkpoint consumed batches and migrate the
     remaining scan range to the next HRW-ranked identical-plan replica.
     ``None`` (the default) disables re-routing and the runtime is
-    byte-identical to the non-rerouting code path; hedging and
-    re-routing are mutually exclusive (both race a fragment against a
-    replica — combining them would double-release cancelled work).
+    byte-identical to the non-rerouting code path.  Hedging and
+    re-routing are mutually exclusive: each is a way to send a
+    fragment's one second leg (see :class:`_SecondLeg`).
     """
 
     def __init__(
@@ -180,6 +567,12 @@ class ConcurrentRuntime:
         self.rerouting: Optional[ReroutePolicy] = make_reroute_policy(
             reroute_batch_rows
         )
+        if self.hedging is not None:
+            self._dispatch: _Dispatch = _Hedging(self, self.hedging)
+        elif self.rerouting is not None:
+            self._dispatch = _Rerouting(self, self.rerouting)
+        else:
+            self._dispatch = _Dispatch(self)
         integrator.advance_clock = False
         self.scheduler = EventScheduler(integrator.clock)
         self.discipline = discipline
@@ -258,350 +651,6 @@ class ConcurrentRuntime:
             return None
         return SpanTag(trace, parent)
 
-    # -- hedging ---------------------------------------------------------
-
-    def _backup_option(
-        self, primary: FragmentOption, t_fire: float
-    ) -> Optional[FragmentOption]:
-        """The replica a hedge backup (or migration) should target.
-
-        Candidates are the fragment's compile-time siblings with an
-        *identical* plan on a different server, near the cluster's
-        cheapest cost (same exchangeability rule as Section 4.1
-        balancing), walked in HRW rank order — the target is the
-        highest-ranked exchangeable replica that is believed available
-        at the instant the hedge (or re-route interrupt) fires.
-        """
-        mw = self.integrator.meta_wrapper
-        qcc = self.integrator.qcc
-        siblings = mw.sibling_options(primary.fragment.signature)
-        matches = [
-            option
-            for option in siblings
-            if option.server != primary.server
-            and option.plan_signature == primary.plan_signature
-            and option.is_viable
-        ]
-        if not matches:
-            return None
-        cheapest = min(
-            [o.calibrated.total for o in matches]
-            + [primary.calibrated.total]
-        )
-        if self.hedging is not None:
-            band = self.hedging.config.band
-        elif self.rerouting is not None:
-            band = self.rerouting.config.band
-        else:
-            band = 0.2
-        near = [
-            o for o in matches if o.calibrated.total <= cheapest * (1.0 + band)
-        ]
-        if not near:
-            return None
-        by_server: Dict[str, FragmentOption] = {}
-        for option in near:
-            by_server.setdefault(option.server, option)
-        for server in rank_servers(
-            primary.fragment.signature, sorted(by_server)
-        ):
-            if qcc is not None and not qcc.is_available(server, t_fire):
-                continue
-            return by_server[server]
-        return None
-
-    def _hedged_request(
-        self,
-        slot: int,
-        entry: tuple,
-        t_dispatch: float,
-        trace,
-        backup_slots: Dict[int, tuple],
-    ) -> HedgedWork:
-        """Wrap one executed fragment into a :class:`HedgedWork` race.
-
-        The backup is built lazily at the instant the hedge timer fires:
-        replica choice, availability and the fanout cap all reflect the
-        queue state *then*, and the backup's raw demand is learned by
-        executing the fragment at the backup wrapper at that instant
-        (``report=False`` — a loser must never feed the calibrator).
-        """
-        choice, option, execution, frag_span = entry
-        policy = self.hedging
-        assert policy is not None
-        obs = get_obs()
-        mw = self.integrator.meta_wrapper
-        general = generalize_signature(option.fragment.signature)
-
-        def backup_factory(t_fire: float) -> Optional[Work]:
-            backup = self._backup_option(option, t_fire)
-            if backup is None:
-                return None
-            queue = self._queue_for(backup.server)
-            if not policy.allow_backup(queue.depth):
-                policy.suppressed += 1
-                obs.metrics.counter(
-                    "hedge_suppressed_total", server=backup.server
-                ).inc()
-                return None
-            try:
-                backup, backup_execution = mw.execute_option(
-                    backup, t_fire, allow_substitution=False, report=False
-                )
-            except ServerUnavailable:
-                return None
-            # The backup's queue lifecycle (queue_wait / service, or a
-            # cancelled slice when the primary wins) hangs off this span
-            # so the hedge race is visible inside the fragment's
-            # dispatch span.
-            hedge_span = trace.begin_child(
-                frag_span,
-                "hedge_backup",
-                t_fire,
-                fragment=choice.fragment.fragment_id,
-                primary=option.server,
-                server=backup.server,
-                fired_ms=t_fire,
-            )
-            backup_slots[slot] = (backup, backup_execution, hedge_span)
-            obs.metrics.counter(
-                "hedge_fired_total", server=backup.server
-            ).inc()
-            return Work(
-                queue,
-                backup_execution.observed_ms,
-                tag=self._span_tag(trace, hedge_span),
-            )
-
-        return HedgedWork(
-            primary=Work(
-                self._queue_for(option.server),
-                execution.observed_ms,
-                tag=self._span_tag(trace, frag_span),
-            ),
-            hedge_after_ms=policy.hedge_after(general),
-            backup_factory=backup_factory,
-        )
-
-    def _settle_hedges(
-        self,
-        executed: List[tuple],
-        hedge_results: List,
-        backup_slots: Dict[int, tuple],
-        t_dispatch: float,
-        trace: QueryTrace,
-    ) -> List[tuple]:
-        """Resolve each fragment's race to the winning (option,
-        execution, completion) triple and account for the loser."""
-        policy = self.hedging
-        assert policy is not None
-        obs = get_obs()
-        mw = self.integrator.meta_wrapper
-        settled = []
-        for slot, (entry, outcome) in enumerate(
-            zip(executed, hedge_results)
-        ):
-            choice, option, execution, frag_span = entry
-            completion = outcome.completion
-            hedge_span = None
-            if outcome.winner == "backup":
-                loser = option
-                option, execution, hedge_span = backup_slots[slot]
-                # The query's real fragment latency includes the hedge
-                # wait before the backup was even fired.
-                effective_ms = completion.finished_ms - t_dispatch
-                obs.metrics.counter(
-                    "hedge_backup_wins_total", server=option.server
-                ).inc()
-                mw.note_hedge_waste(
-                    loser, outcome.wasted_ms, completion.finished_ms
-                )
-            else:
-                effective_ms = completion.sojourn_ms
-                if outcome.hedged:
-                    loser, _, hedge_span = backup_slots[slot]
-                    mw.note_hedge_waste(
-                        loser, outcome.wasted_ms, completion.finished_ms
-                    )
-            if hedge_span is not None:
-                trace.end(
-                    hedge_span,
-                    completion.finished_ms,
-                    winner=outcome.winner,
-                    wasted_ms=outcome.wasted_ms,
-                )
-            policy.note_outcome(
-                outcome.hedged, outcome.winner, outcome.wasted_ms
-            )
-            policy.observe(
-                generalize_signature(option.fragment.signature),
-                effective_ms,
-            )
-            settled.append(
-                (choice, option, execution, frag_span, completion,
-                 effective_ms, outcome)
-            )
-        return settled
-
-    # -- mid-query re-routing --------------------------------------------
-
-    def _migratable_request(
-        self,
-        slot: int,
-        entry: tuple,
-        t_dispatch: float,
-        trace,
-        reroute_slots: Dict[int, tuple],
-    ) -> MigratableWork:
-        """Wrap one executed fragment into a :class:`MigratableWork`.
-
-        The primary's full demand is submitted exactly as a plain
-        ``Work`` yield — enabled-but-untriggered re-routing is
-        byte-identical to the non-rerouting path.  The interrupt is the
-        calibration epoch itself (availability flips bump it too); the
-        migrate callback checkpoints consumed batches, picks the next
-        HRW-ranked identical-plan replica, and learns the tail's demand
-        by executing the fragment at the target at the fire instant
-        (``report=False`` — a migration leg must never feed the
-        calibrator).
-        """
-        choice, option, execution, frag_span = entry
-        policy = self.rerouting
-        assert policy is not None
-        obs = get_obs()
-        mw = self.integrator.meta_wrapper
-        epoch = self.integrator.calibration_epoch
-        schedule = batch_schedule(execution, policy.config.batch_rows)
-
-        def arm(interrupt) -> "callable":
-            if epoch is None or len(schedule) <= 1:
-                # Nothing to checkpoint between — a single-batch
-                # fragment has no boundary to migrate at.
-                return lambda: None
-            return epoch.subscribe(lambda _value: interrupt())
-
-        def migrate(t_fire: float, consumed_ms: float) -> Optional[Work]:
-            point = policy.checkpoint(schedule, consumed_ms)
-            if not policy.should_migrate(schedule, point):
-                policy.note_declined("drained")
-                return None
-            target = self._backup_option(option, t_fire)
-            if target is None:
-                policy.note_declined("no-replica")
-                obs.metrics.counter(
-                    "reroute_declined_total", reason="no-replica"
-                ).inc()
-                return None
-            try:
-                target, target_execution = mw.execute_option(
-                    target, t_fire, allow_substitution=False, report=False
-                )
-            except ServerUnavailable:
-                policy.note_declined("target-down")
-                obs.metrics.counter(
-                    "reroute_declined_total", reason="target-down"
-                ).inc()
-                return None
-            reroute_span = trace.begin_child(
-                frag_span,
-                "reroute",
-                t_fire,
-                fragment=choice.fragment.fragment_id,
-                primary=option.server,
-                server=target.server,
-                cut_row=point.cut_row,
-                batches_kept=point.batches_kept,
-                fired_ms=t_fire,
-            )
-            reroute_slots[slot] = (
-                target, target_execution, point, reroute_span,
-            )
-            obs.metrics.counter(
-                "reroute_fired_total", server=target.server
-            ).inc()
-            return Work(
-                self._queue_for(target.server),
-                tail_demand_ms(target_execution, point.cut_row),
-                tag=self._span_tag(trace, reroute_span),
-            )
-
-        return MigratableWork(
-            primary=Work(
-                self._queue_for(option.server),
-                execution.observed_ms,
-                tag=self._span_tag(trace, frag_span),
-            ),
-            arm=arm,
-            migrate=migrate,
-        )
-
-    def _settle_reroutes(
-        self,
-        executed: List[tuple],
-        migration_results: List,
-        reroute_slots: Dict[int, tuple],
-        t_dispatch: float,
-        trace: QueryTrace,
-    ) -> List[tuple]:
-        """Resolve each fragment to its settled tuple, merging partial
-        results and accounting for the cancelled primary leg."""
-        policy = self.rerouting
-        assert policy is not None
-        mw = self.integrator.meta_wrapper
-        settled = []
-        for slot, (entry, outcome) in enumerate(
-            zip(executed, migration_results)
-        ):
-            choice, option, execution, frag_span = entry
-            completion = outcome.completion
-            if not outcome.migrated:
-                settled.append(
-                    (choice, option, execution, frag_span, completion,
-                     completion.sojourn_ms, None)
-                )
-                continue
-            target, target_execution, point, reroute_span = (
-                reroute_slots[slot]
-            )
-            # The fragment's real latency spans primary dispatch through
-            # the migrated tail's completion.
-            effective_ms = completion.finished_ms - t_dispatch
-            merged_rows = merge_partial_rows(
-                execution.rows, target_execution.rows, point.cut_row
-            )
-            migrated_rows = execution.row_count - point.cut_row
-            wasted_ms = max(
-                0.0, outcome.consumed_ms - point.kept_demand_ms
-            )
-            policy.note_fired(migrated_rows, wasted_ms)
-            mw.note_reroute(
-                option,
-                target,
-                cut_row=point.cut_row,
-                wasted_ms=wasted_ms,
-                t_ms=completion.finished_ms,
-            )
-            trace.end(
-                reroute_span,
-                completion.finished_ms,
-                migrated_rows=migrated_rows,
-                wasted_ms=wasted_ms,
-            )
-            settle = RerouteSettle(
-                target=target,
-                merged_rows=merged_rows,
-                cut_row=point.cut_row,
-                migrated_rows=migrated_rows,
-                wasted_ms=wasted_ms,
-                consumed_ms=outcome.consumed_ms,
-                fired_ms=outcome.migrated_at_ms,
-            )
-            settled.append(
-                (choice, option, execution, frag_span, completion,
-                 effective_ms, settle)
-            )
-        return settled
-
     # -- submission ------------------------------------------------------
 
     def submit_at(
@@ -650,6 +699,7 @@ class ConcurrentRuntime:
         runtime = cls.__new__(cls)
         runtime.integrator = integrator
         runtime.hedging = runtime.rerouting = runtime.admission = None
+        runtime._dispatch = _Dispatch(runtime)
         runtime.scheduler = EventScheduler(VirtualClock(t0_ms))
         runtime.discipline = "ps"
         runtime.server_capacity = 1.0
@@ -751,7 +801,7 @@ class ConcurrentRuntime:
             # Execute every fragment at the dispatch instant to learn its
             # raw service demand (report=False defers QCC reporting until
             # the queue-inflated sojourn is known).
-            executed = []  # (choice, option, execution, span)
+            executed: List[_Fragment] = []
             failure: Optional[Exception] = None
             for choice in chosen.choices:
                 # Explicit-parent spans: concurrent siblings overlap in
@@ -773,18 +823,23 @@ class ConcurrentRuntime:
                         frag_span, t_dispatch, failed=True, reason=str(exc)
                     )
                     break
-                executed.append((choice, option, execution, frag_span))
+                executed.append(
+                    _Fragment(choice, option, execution, frag_span)
+                )
 
             if failure is not None:
                 # Fragments that did execute are reported with their raw
                 # demand — they never reached a queue because the attempt
                 # was abandoned — just as each success is reported before
                 # a later fragment raises.
-                for choice, option, execution, frag_span in executed:
-                    mw.note_execution(option, execution, t_dispatch)
+                for fragment in executed:
+                    mw.note_execution(
+                        fragment.option, fragment.execution, t_dispatch
+                    )
                     self._end_dispatch(
-                        trace, frag_span, t_dispatch + execution.observed_ms,
-                        choice, option, execution,
+                        trace, fragment,
+                        t_dispatch + fragment.execution.observed_ms,
+                        fragment.option, fragment.execution,
                     )
                 if isinstance(failure, SqlError):
                     # A type error in the query's own data is the query's
@@ -809,133 +864,45 @@ class ConcurrentRuntime:
 
             # Contend: push each fragment's raw demand through its
             # server's capacity queue; resume when the slowest finishes.
-            # With hedging enabled each fragment races a timer-armed
-            # backup at the next HRW-ranked replica; only the winner's
-            # execution flows onward (runtime log, calibrator, merge).
-            # With re-routing enabled each fragment may instead migrate
-            # its unshipped batches to that replica when the calibration
-            # epoch bumps mid-flight.
-            if self.hedging is not None:
-                backup_slots: Dict[int, tuple] = {}
-                hedge_results = yield AllOf(
-                    [
-                        self._hedged_request(
-                            slot, entry, t_dispatch, trace, backup_slots
-                        )
-                        for slot, entry in enumerate(executed)
-                    ]
-                )
-                settled = self._settle_hedges(
-                    executed, hedge_results, backup_slots, t_dispatch, trace
-                )
-            elif self.rerouting is not None:
-                reroute_slots: Dict[int, tuple] = {}
-                migration_results = yield AllOf(
-                    [
-                        self._migratable_request(
-                            slot, entry, t_dispatch, trace, reroute_slots
-                        )
-                        for slot, entry in enumerate(executed)
-                    ]
-                )
-                settled = self._settle_reroutes(
-                    executed, migration_results, reroute_slots,
-                    t_dispatch, trace,
-                )
-            else:
-                completions = yield AllOf(
-                    [
-                        Work(
-                            self._queue_for(option.server),
-                            execution.observed_ms,
-                            tag=self._span_tag(trace, frag_span),
-                        )
-                        for _, option, execution, frag_span in executed
-                    ]
-                )
-                settled = [
-                    (choice, option, execution, frag_span, completion,
-                     completion.sojourn_ms, None)
-                    for (choice, option, execution, frag_span), completion
-                    in zip(executed, completions)
-                ]
+            # With hedging or re-routing on, each fragment may also send
+            # a second leg to the next HRW-ranked replica; only what its
+            # settle returns flows onward (runtime log, calibrator, merge).
+            results = yield AllOf(
+                [self._dispatch.request(f, trace) for f in executed]
+            )
+            settled = [
+                self._dispatch.settle(fragment, result, t_dispatch, trace)
+                for fragment, result in zip(executed, results)
+            ]
 
             outcomes: Dict[str, FragmentOutcome] = {}
             remote_ms = 0.0
-            reroutes = 0
-            for (
-                choice, option, execution, frag_span, completion,
-                effective_ms, extra,
-            ) in settled:
-                reroute = (
-                    extra if isinstance(extra, RerouteSettle) else None
-                )
-                hedge = extra if reroute is None else None
-                if reroute is not None:
-                    reroutes += 1
-                    # Calibrator discipline: the primary's raw
-                    # demonstrated demand is reported unchanged — the
-                    # migration must improve the query's latency without
-                    # teaching QCC counterfactual per-server costs (see
-                    # repro.fed.rerouting).  The outcome that flows to
-                    # the merge carries the deterministically merged
-                    # prefix + tail rows and the true end-to-end latency.
-                    mw.note_execution(option, execution, t_dispatch)
-                    inflated = dataclasses.replace(
-                        execution,
-                        rows=reroute.merged_rows,
-                        observed_ms=effective_ms,
-                    )
-                else:
-                    inflated = dataclasses.replace(
-                        execution, observed_ms=effective_ms
-                    )
-                    mw.note_execution(option, inflated, t_dispatch)
+            for fragment, done in zip(executed, settled):
+                completion = done.completion
+                server = done.option.server
+                mw.note_execution(done.option, done.reported, t_dispatch)
                 obs.metrics.histogram(
-                    "sched_sojourn_ms", server=option.server
+                    "sched_sojourn_ms", server=server
                 ).observe(completion.sojourn_ms)
                 obs.metrics.gauge(
-                    "sched_queue_depth", server=option.server
-                ).set(self._queue_for(option.server).depth)
-                hedge_tags = (
-                    dict(
-                        hedged=True,
-                        hedge_fired=True,
-                        hedge_winner=hedge.winner,
-                        backup_wins=hedge.winner == "backup",
-                        hedge_wasted_ms=hedge.wasted_ms,
-                    )
-                    if hedge is not None and hedge.hedged
-                    else {}
-                )
-                reroute_tags = (
-                    dict(
-                        rerouted=True,
-                        reroute_to=reroute.target.server,
-                        reroute_cut_row=reroute.cut_row,
-                        reroute_wasted_ms=reroute.wasted_ms,
-                    )
-                    if reroute is not None
-                    else {}
-                )
+                    "sched_queue_depth", server=server
+                ).set(self._queue_for(server).depth)
                 self._end_dispatch(
                     trace,
-                    frag_span,
+                    fragment,
                     completion.finished_ms,
-                    choice,
-                    option,
-                    inflated,
+                    done.option,
+                    done.execution,
                     queue_wait_ms=completion.wait_ms,
                     service_ms=completion.service_ms,
                     sojourn_ms=completion.sojourn_ms,
                     depth_at_arrival=completion.depth_at_arrival,
-                    **hedge_tags,
-                    **reroute_tags,
+                    **done.tags,
                 )
-                outcomes[option.fragment.fragment_id] = FragmentOutcome(
-                    option=option, execution=inflated
+                outcomes[done.option.fragment.fragment_id] = FragmentOutcome(
+                    option=done.option, execution=done.execution
                 )
-                remote_ms = max(remote_ms, effective_ms)
+                remote_ms = max(remote_ms, done.effective_ms)
 
             # II-side merge: computed locally, then charged to the
             # integrator's own capacity queue.
@@ -1019,7 +986,7 @@ class ConcurrentRuntime:
                 remote_ms=remote_ms,
                 retries=retries,
                 merge_plan=merge_plan,
-                reroutes=reroutes,
+                reroutes=sum(done.rerouted for done in settled),
             )
             ii.patroller.complete(record, t0 + response_ms)
             obs.metrics.histogram("ii_response_ms").observe(response_ms)
@@ -1120,13 +1087,13 @@ class ConcurrentRuntime:
 
     @staticmethod
     def _end_dispatch(
-        trace: QueryTrace, frag_span, t_ms: float, choice, option, execution,
-        **tags,
+        trace: QueryTrace, fragment: _Fragment, t_ms: float, option,
+        execution, **tags,
     ) -> None:
         """Close a fragment's dispatch span with its cost ledger."""
         estimated = option.estimated.total
         trace.end(
-            frag_span,
+            fragment.span,
             t_ms,
             server=option.server,
             estimated_total=estimated,
@@ -1135,7 +1102,7 @@ class ConcurrentRuntime:
                 option.calibrated.total / estimated if estimated > 0 else None
             ),
             observed_ms=execution.observed_ms,
-            substituted=option.server != choice.server,
+            substituted=option.server != fragment.choice.server,
             engine=execution.engine,
             **tags,
         )

@@ -52,9 +52,6 @@ class HedgeConfig:
     window: int = 64
     #: Suppress the backup when its queue depth exceeds this.
     depth_cap: int = DEFAULT_DEPTH_CAP
-    #: Replicas within (1 + band) × cheapest are hedge-exchangeable
-    #: (same rule as Section 4.1 fragment balancing).
-    band: float = 0.2
     #: LRU bound on distinct signatures tracked.
     max_tracked: int = 1024
 

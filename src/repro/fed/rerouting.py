@@ -54,7 +54,6 @@ from typing import Dict, List, Optional
 
 from ..sim.server import RemoteExecution, exact_split, transfer_spans
 from ..sqlengine import Row
-from .global_optimizer import FragmentOption
 
 #: Relative slack when testing a consumed demand against a cumulative
 #: batch boundary (float accumulation at the interrupt instant).
@@ -68,9 +67,6 @@ class RerouteConfig:
     #: Checkpoint granularity (rows) when the execution carries no wire
     #: batches; also the user-facing enable knob (None upstream = off).
     batch_rows: int
-    #: Replicas within (1 + band) × cheapest are migration-exchangeable
-    #: (same rule as hedging and Section 4.1 fragment balancing).
-    band: float = 0.2
     #: Fragments with fewer unshipped rows than this decline to move —
     #: migrating a nearly-drained fragment only adds cancel churn.
     min_remaining_rows: int = 1
@@ -78,8 +74,6 @@ class RerouteConfig:
     def __post_init__(self) -> None:
         if self.batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {self.batch_rows}")
-        if self.band < 0:
-            raise ValueError(f"negative exchangeability band {self.band}")
         if self.min_remaining_rows < 1:
             raise ValueError("min_remaining_rows must be >= 1")
 
@@ -204,24 +198,6 @@ def merge_partial_rows(
             f"produced {len(primary_rows)} at the primary"
         )
     return list(primary_rows[:cut_row]) + list(replica_rows[cut_row:])
-
-
-@dataclass(frozen=True)
-class RerouteSettle:
-    """Settlement of one migrated fragment (the hedge-outcome analogue
-    threaded through the runtime's settled tuples)."""
-
-    target: FragmentOption
-    merged_rows: List[Row]
-    cut_row: int
-    migrated_rows: int
-    #: Service consumed past the checkpointed boundary — the re-shipped
-    #: partial batch, the price paid for a clean cut.
-    wasted_ms: float
-    #: Total primary service consumed when the migration fired.
-    consumed_ms: float
-    #: Virtual instant the migration fired.
-    fired_ms: float
 
 
 class ReroutePolicy:

@@ -42,6 +42,8 @@ def _register_rare(metrics) -> None:
     metrics.counter("hedge_fired_total", server="S1")
     metrics.counter("hedge_suppressed_total", server="S1")
     metrics.counter("hedge_backup_wins_total", server="S1")
+    metrics.counter("mw_hedge_cancelled_total", server="S1")
+    metrics.histogram("mw_hedge_wasted_ms")
     metrics.counter("reroute_fired_total", server="S1")
     metrics.counter("reroute_declined_total", reason="no-replica")
     metrics.counter("mw_reroute_cancelled_total", server="S1")

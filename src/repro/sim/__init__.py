@@ -30,12 +30,10 @@ from .sched import (
     Completion,
     Delay,
     EventScheduler,
-    HedgedWork,
-    HedgeOutcome,
-    MigratableWork,
-    MigrationOutcome,
     NULL_QUEUE_EVENTS,
     QueueEvents,
+    SecondLegOutcome,
+    SecondLegWork,
     ServerQueue,
     Work,
 )
@@ -60,13 +58,9 @@ __all__ = [
     "Delay",
     "ErrorInjector",
     "EventScheduler",
-    "HedgeOutcome",
-    "HedgedWork",
     "InducedLoad",
     "LOCAL_LINK",
     "LoadSchedule",
-    "MigratableWork",
-    "MigrationOutcome",
     "MutableLoad",
     "NetworkLink",
     "NULL_QUEUE_EVENTS",
@@ -76,6 +70,8 @@ __all__ = [
     "REQUEST_BYTES",
     "RemoteExecution",
     "RemoteServer",
+    "SecondLegOutcome",
+    "SecondLegWork",
     "ServerQueue",
     "ServerUnavailable",
     "StepSchedule",

@@ -27,13 +27,16 @@ exactly the signal the paper's QCC calibrates against, so contention
 produced by *overlapping queries* feeds the calibrator the same way the
 testbed's real update storms did.
 
-Hedged dispatch (tail-latency insurance) is a first-class request:
-:class:`HedgedWork` submits a primary :class:`Work` item and arms a
-timer; if no completion arrives within ``hedge_after_ms`` a lazily
-constructed backup is fired at a second queue, the first completion of
-the pair wins, and the loser is *cancelled* — its remaining service is
-released back to its :class:`ServerQueue` so hedging never doubles the
-steady-state load.
+A fragment's second leg is one first-class request:
+:class:`SecondLegWork` submits a primary :class:`Work` item and arms a
+trigger; when it fires, a lazily built leg is submitted at a second
+queue.  Hedged dispatch (tail-latency insurance) arms a timer and races
+the two legs — the first completion wins and the loser is cancelled.
+Mid-query re-routing arms a calibration-epoch subscription and cancels
+the primary as the leg (the unshipped tail) leaves.  Either way a
+cancelled job's remaining service is released back to its
+:class:`ServerQueue`, so a second leg never doubles the steady-state
+load.
 
 Determinism: events at equal virtual times fire in scheduling order (a
 monotonic sequence number breaks ties), processor-sharing departures
@@ -95,82 +98,53 @@ class AllOf:
 
 
 @dataclass(frozen=True)
-class HedgedWork:
-    """Primary work plus a timed backup: first completion wins.
+class SecondLegWork:
+    """Primary work plus at most one lazily built second leg.
 
-    ``backup_factory(t_ms)`` is called at the instant the hedge timer
-    fires (primary still pending) and returns the backup :class:`Work`
-    — or ``None`` to decline (adaptive fanout cap, backup unavailable).
-    Building the backup lazily matters: its demand and target queue are
-    chosen under the conditions that exist *when the hedge fires*, not
-    when the primary was dispatched.
-    """
+    The primary :class:`Work` is submitted normally — a second leg that
+    never fires is byte-identical to a plain ``Work`` yield.
+    ``arm(fire)`` installs the trigger (a hedge timer, an epoch
+    subscription) and returns a disarm callable; the scheduler disarms
+    exactly once, when the leg fires or the request settles.  When
+    ``fire()`` runs while the primary is pending, the scheduler calls
+    ``build(t_ms, consumed_ms)``; returning a :class:`Work` submits the
+    leg at its queue, returning ``None`` declines and stays armed.
+    Building lazily matters: the leg's target and demand are chosen under
+    the conditions that exist when it fires.  At most one leg fires.
 
-    primary: "Work"
-    hedge_after_ms: float
-    backup_factory: Callable[[float], Optional["Work"]]
-
-    def __post_init__(self) -> None:
-        if self.hedge_after_ms < 0:
-            raise ValueError(
-                f"negative hedge timeout {self.hedge_after_ms}"
-            )
-
-
-@dataclass(frozen=True)
-class HedgeOutcome:
-    """Resume value of a :class:`HedgedWork` request."""
-
-    #: The winning request's completion.
-    completion: "Completion"
-    #: ``"primary"`` or ``"backup"``.
-    winner: str
-    #: True when the backup was actually fired (timer elapsed and the
-    #: factory produced work).
-    hedged: bool
-    #: Virtual instant the backup was fired (None when not hedged).
-    backup_fired_ms: Optional[float]
-    #: Service the cancelled loser had already consumed (dedicated
-    #: service-time ms) — the price paid for the insurance.
-    wasted_ms: float
-
-
-@dataclass(frozen=True)
-class MigratableWork:
-    """Cancellable work plus an externally armed migration trigger.
-
-    The primary :class:`Work` is submitted normally — an enabled but
-    never-triggered migration is byte-identical to a plain ``Work``
-    yield.  ``arm(interrupt)`` installs the trigger (the re-routing
-    layer subscribes it to the calibration epoch) and returns a disarm
-    callable; the scheduler disarms on completion or after a migration.
-    When ``interrupt()`` fires while the primary is still resident, the
-    scheduler calls ``migrate(t_ms, consumed_ms)`` with the dedicated
-    service the primary has consumed so far; returning a :class:`Work`
-    cancels the primary (its unserved demand is released back to the
-    queue, exactly like a hedge loser) and submits the replacement,
-    while returning ``None`` declines and leaves the primary running.
-    At most one migration happens per request.
+    ``race`` is the one structural choice.  True (hedging): both legs
+    run, the first completion wins and the loser is cancelled.  False
+    (re-routing): firing cancels the primary, and ``consumed_ms`` is the
+    dedicated service it has consumed — exactly what the cancellation
+    will report — so the builder can quantise a checkpoint before
+    committing.  A race never peeks (the primary keeps running, and
+    peeking advances a processor-sharing queue), so it gets 0.0.
+    Cancellation releases the loser's unserved demand back to its queue.
     """
 
     primary: "Work"
     arm: Callable[[Callable[[], None]], Callable[[], None]]
-    migrate: Callable[[float, float], Optional["Work"]]
+    build: Callable[[float, float], Optional["Work"]]
+    race: bool
 
 
 @dataclass(frozen=True)
-class MigrationOutcome:
-    """Resume value of a :class:`MigratableWork` request."""
+class SecondLegOutcome:
+    """Resume value of a :class:`SecondLegWork` request."""
 
-    #: The completion that settled the request — the primary's when no
-    #: migration happened, the replacement's after one.
+    #: The completion that settled the request.
     completion: "Completion"
-    #: True when the primary was cancelled and a replacement submitted.
-    migrated: bool
-    #: Virtual instant the migration fired (None when not migrated).
-    migrated_at_ms: Optional[float]
-    #: Dedicated service the cancelled primary had already consumed.
-    consumed_ms: float
+    #: True when ``completion`` is the second leg's.
+    leg_won: bool
+    #: Virtual instant the second leg fired (None when it never did).
+    fired_ms: Optional[float]
+    #: Dedicated service the cancelled leg had consumed (the hedge loser
+    #: or the re-routed primary; 0.0 when nothing was cancelled).
+    cancelled_ms: float
+
+    @property
+    def fired(self) -> bool:
+        return self.fired_ms is not None
 
 
 @dataclass(frozen=True)
@@ -298,79 +272,26 @@ class EventScheduler:
             self.call_later(request.delay_ms, resume, None)
         elif isinstance(request, AllOf):
             self._join(request.requests, resume)
-        elif isinstance(request, HedgedWork):
-            self._hedge(request, resume)
-        elif isinstance(request, MigratableWork):
-            self._migrate(request, resume)
+        elif isinstance(request, SecondLegWork):
+            self._second_leg(request, resume)
         else:
             raise TypeError(
                 f"process yielded {request!r}; "
-                "expected Work, Delay, AllOf, HedgedWork or MigratableWork"
+                "expected Work, Delay, AllOf or SecondLegWork"
             )
 
-    def _hedge(
-        self, request: HedgedWork, resume: Callable[[object], None]
+    def _second_leg(
+        self, request: SecondLegWork, resume: Callable[[object], None]
     ) -> None:
-        """Race the primary against a timer-armed backup (first wins)."""
-        state: dict = {"done": False, "backup": None, "fired_at": None}
+        """Run the primary; fire at most one second leg when triggered."""
         primary_queue = request.primary.queue
-
-        def finish(winner: str, completion: "Completion") -> None:
-            if state["done"]:
-                return  # the other leg already won
-            state["done"] = True
-            wasted = 0.0
-            if winner == "primary" and state["backup"] is not None:
-                queue, job = state["backup"]
-                wasted = queue.cancel(job)
-            elif winner == "backup":
-                wasted = primary_queue.cancel(state["primary_job"])
-            resume(
-                HedgeOutcome(
-                    completion=completion,
-                    winner=winner,
-                    hedged=state["backup"] is not None,
-                    backup_fired_ms=state["fired_at"],
-                    wasted_ms=wasted,
-                )
-            )
-
-        state["primary_job"] = primary_queue.submit(
-            request.primary.demand_ms,
-            lambda completion: finish("primary", completion),
-            tag=request.primary.tag,
-        )
-
-        def fire_backup() -> None:
-            if state["done"]:
-                return  # primary completed before the timer
-            backup = request.backup_factory(self.clock.now)
-            if backup is None:
-                return  # declined (fanout cap, no replica, server down)
-            state["fired_at"] = self.clock.now
-            state["backup"] = (
-                backup.queue,
-                backup.queue.submit(
-                    backup.demand_ms,
-                    lambda completion: finish("backup", completion),
-                    tag=backup.tag,
-                ),
-            )
-
-        self.call_later(request.hedge_after_ms, fire_backup)
-
-    def _migrate(
-        self, request: MigratableWork, resume: Callable[[object], None]
-    ) -> None:
-        """Run the primary, migratable once via the armed interrupt."""
         state: dict = {
             "done": False,
-            "migrated": False,
             "fired_at": None,
-            "consumed": 0.0,
+            "leg": None,
+            "cancelled": 0.0,
             "disarm": None,
         }
-        primary_queue = request.primary.queue
 
         def disarm() -> None:
             fn = state["disarm"]
@@ -378,53 +299,54 @@ class EventScheduler:
                 state["disarm"] = None
                 fn()
 
-        def finish_primary(completion: "Completion") -> None:
+        def settle(completion: "Completion", leg_won: bool) -> None:
+            if state["done"]:
+                return  # the other leg of a race already won
             state["done"] = True
             disarm()
-            resume(MigrationOutcome(completion, False, None, 0.0))
-
-        def finish_migrated(completion: "Completion") -> None:
-            state["done"] = True
+            if request.race and state["leg"] is not None:
+                queue, job = (
+                    (primary_queue, primary_job) if leg_won else state["leg"]
+                )
+                state["cancelled"] = queue.cancel(job)
             resume(
-                MigrationOutcome(
-                    completion, True, state["fired_at"], state["consumed"]
+                SecondLegOutcome(
+                    completion, leg_won, state["fired_at"], state["cancelled"]
                 )
             )
 
         primary_job = primary_queue.submit(
             request.primary.demand_ms,
-            finish_primary,
+            lambda completion: settle(completion, False),
             tag=request.primary.tag,
         )
 
-        def interrupt() -> None:
-            if state["done"] or state["migrated"]:
+        def fire() -> None:
+            if state["done"] or state["fired_at"] is not None:
                 return
             now = self.clock.now
-            # Peek at consumed service *before* deciding: the migrate
-            # callback quantises the checkpoint to batch boundaries and
-            # may decline (fully drained, no viable replica).
-            consumed = primary_queue.consumed_ms(primary_job)
-            replacement = request.migrate(now, consumed)
-            if replacement is None:
-                return
-            state["migrated"] = True
+            consumed = (
+                0.0 if request.race else primary_queue.consumed_ms(primary_job)
+            )
+            leg = request.build(now, consumed)
+            if leg is None:
+                return  # declined: stay armed for a later trigger
             state["fired_at"] = now
-            # ``cancel`` releases the primary's unserved demand back to
-            # its queue — the same machinery that releases hedge losers.
-            state["consumed"] = primary_queue.cancel(primary_job)
+            if not request.race:
+                state["cancelled"] = primary_queue.cancel(primary_job)
             disarm()
-            replacement.queue.submit(
-                replacement.demand_ms,
-                finish_migrated,
-                tag=replacement.tag,
+            state["leg"] = (
+                leg.queue,
+                leg.queue.submit(
+                    leg.demand_ms,
+                    lambda completion: settle(completion, True),
+                    tag=leg.tag,
+                ),
             )
 
-        installed = request.arm(interrupt)
-        if state["done"] or state["migrated"]:
-            # The trigger fired synchronously while arming; nothing left
-            # to watch.
-            installed()
+        installed = request.arm(fire)
+        if state["done"] or state["fired_at"] is not None:
+            installed()  # fired while arming: nothing left to watch
         else:
             state["disarm"] = installed
 
@@ -496,7 +418,8 @@ class QueueEvents:
         self, queue: "ServerQueue", job: "_Job", t_ms: float, consumed_ms: float
     ) -> None:
         """*job* was cancelled at ``t_ms`` having consumed
-        ``consumed_ms`` of dedicated service (hedge loser)."""
+        ``consumed_ms`` of dedicated service (a hedge loser or a
+        re-routed primary)."""
 
 
 NULL_QUEUE_EVENTS = QueueEvents()

@@ -18,6 +18,7 @@ the module constants alone.
 
 import pytest
 
+import repro.obs as obs
 from repro.fed import batch_schedule
 from repro.fed.concurrent import ConcurrentRuntime
 from repro.harness.deployment import build_replica_federation
@@ -59,6 +60,26 @@ def replica_databases():
     }
 
 
+@pytest.fixture(autouse=True)
+def metrics():
+    """Live metrics, so every run can check the decline counter."""
+    sink = obs.configure(
+        metrics=True, tracing=False, timeline=False, log_level=None
+    )
+    try:
+        yield sink.metrics
+    finally:
+        obs.disable()
+
+
+def _declined_total():
+    return sum(
+        counter.value
+        for (name, _), counter in obs.get_obs().metrics.counter_items()
+        if name == "reroute_declined_total"
+    )
+
+
 def _run_query(
     databases,
     engine,
@@ -84,6 +105,7 @@ def _run_query(
     }
     for server in deployment.servers.values():
         server.database.engine = resolved
+    declined_before = _declined_total()
     try:
         runtime = ConcurrentRuntime(
             deployment.integrator, reroute_batch_rows=reroute_batch_rows
@@ -98,6 +120,13 @@ def _run_query(
             server.database.engine = saved[name]
     assert handle.error is None, handle.error
     assert handle.result is not None
+    if runtime.rerouting is not None:
+        # Every decline path emits the counter, so the metric agrees
+        # with the policy's own count.
+        assert (
+            _declined_total() - declined_before
+            == runtime.rerouting.stats()["declined"]
+        )
     return handle.result, list(deployment.meta_wrapper.runtime_log)
 
 
@@ -244,3 +273,21 @@ def test_double_bump_migrates_at_most_once(replica_databases):
     )
     assert list(perturbed.rows) == list(oracle.rows)
     assert perturbed.reroutes <= len(perturbed.fragments)
+
+
+def test_drained_declines_are_counted(replica_databases, metrics):
+    """A bump after the last batch boundary declines as ``drained``, and
+    ``reroute_declined_total`` counts it like every other decline."""
+    sql = _query_sql("qt2")
+    oracle, _ = _run_query(replica_databases, "row", sql)
+    for t_bump in _bump_instants(oracle, 2):
+        _run_query(
+            replica_databases,
+            "row",
+            sql,
+            reroute_batch_rows=2,
+            bump_at=(t_bump,),
+        )
+    assert (
+        metrics.counter_value("reroute_declined_total", reason="drained") > 0
+    )

@@ -8,6 +8,7 @@ from repro.sim.sched import (
     Completion,
     Delay,
     EventScheduler,
+    SecondLegWork,
     ServerQueue,
     Work,
 )
@@ -325,21 +326,28 @@ class TestCancellation:
         assert len(done) == 1
 
 
+def _no_disarm():
+    pass
+
+
 class TestHedgedWork:
+    """Race mode: a timer-armed backup; the first completion wins."""
+
     def _hedge(self, sched, primary_queue, backup_queue, primary_ms,
                backup_ms, after_ms, outcomes, decline=False):
-        from repro.sim.sched import HedgedWork
+        def arm(fire):
+            sched.call_later(after_ms, fire)
+            return _no_disarm
 
-        def factory(t_fire):
+        def build(t_fire, consumed_ms):
+            assert consumed_ms == 0.0  # a race never peeks
             if decline:
                 return None
             return Work(backup_queue, backup_ms)
 
         def process():
-            outcome = yield HedgedWork(
-                primary=Work(primary_queue, primary_ms),
-                hedge_after_ms=after_ms,
-                backup_factory=factory,
+            outcome = yield SecondLegWork(
+                Work(primary_queue, primary_ms), arm, build, race=True
             )
             outcomes.append(outcome)
 
@@ -355,12 +363,14 @@ class TestHedgedWork:
         self._hedge(sched, fast, backup, 5.0, 5.0, 10.0, outcomes)
         sched.run()
         (outcome,) = outcomes
-        assert outcome.winner == "primary"
-        assert not outcome.hedged
-        assert outcome.backup_fired_ms is None
-        assert outcome.wasted_ms == 0.0
+        assert not outcome.leg_won
+        assert not outcome.fired
+        assert outcome.fired_ms is None
+        assert outcome.cancelled_ms == 0.0
         assert backup.served == 0 and backup.max_depth == 0
         assert outcome.completion.sojourn_ms == 5.0
+        # The stale timer still fires, and run() advances the clock to it.
+        assert sched.now == 10.0
 
     def test_backup_wins_when_primary_stalls(self):
         """Primary queued behind a long backlog: the hedge fires at the
@@ -375,11 +385,11 @@ class TestHedgedWork:
         self._hedge(sched, slow, backup, 10.0, 10.0, 20.0, outcomes)
         sched.run()
         (outcome,) = outcomes
-        assert outcome.winner == "backup"
-        assert outcome.hedged
-        assert outcome.backup_fired_ms == 20.0
+        assert outcome.leg_won
+        assert outcome.fired
+        assert outcome.fired_ms == 20.0
         assert outcome.completion.finished_ms == 30.0
-        assert outcome.wasted_ms == 0.0  # primary never started
+        assert outcome.cancelled_ms == 0.0  # primary never started
         assert slow.cancelled_jobs == 1
         # The blocker still completes normally.
         assert blocker and blocker[0].finished_ms == 100.0
@@ -397,9 +407,9 @@ class TestHedgedWork:
         self._hedge(sched, primary, backup, 30.0, 50.0, 20.0, outcomes)
         sched.run()
         (outcome,) = outcomes
-        assert outcome.winner == "primary"
-        assert outcome.hedged
-        assert outcome.wasted_ms == pytest.approx(10.0)
+        assert not outcome.leg_won
+        assert outcome.fired
+        assert outcome.cancelled_ms == pytest.approx(10.0)
         assert backup.cancelled_jobs == 1
         assert backup.depth == 0
         assert backup.backlog_ms(sched.now) == 0.0
@@ -414,7 +424,203 @@ class TestHedgedWork:
         )
         sched.run()
         (outcome,) = outcomes
-        assert outcome.winner == "primary"
-        assert not outcome.hedged
+        assert not outcome.leg_won
+        assert not outcome.fired
         assert outcome.completion.sojourn_ms == 30.0
         assert backup.served == 0
+
+
+class _Trigger:
+    """An externally fired trigger that records its arming and disarming."""
+
+    def __init__(self):
+        self.fire = None
+        self.disarms = 0
+
+    def arm(self, fire):
+        self.fire = fire
+        return self.disarm
+
+    def disarm(self):
+        self.disarms += 1
+
+
+class TestCancelPrimaryLeg:
+    """Re-route mode: firing the leg cancels the primary."""
+
+    def _run(self, sched, primary_queue, primary_ms, trigger, build, outcomes,
+             arm=None):
+        def process():
+            outcome = yield SecondLegWork(
+                Work(primary_queue, primary_ms),
+                arm or trigger.arm,
+                build,
+                race=False,
+            )
+            outcomes.append(outcome)
+
+        sched.spawn(process())
+
+    def test_unfired_leg_is_a_plain_work_yield(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0)
+        trigger = _Trigger()
+        outcomes = []
+        self._run(sched, primary, 20.0, trigger, lambda t, c: None, outcomes)
+        sched.run()
+        (outcome,) = outcomes
+        assert not outcome.fired and not outcome.leg_won
+        assert outcome.cancelled_ms == 0.0
+        assert outcome.completion.sojourn_ms == 20.0
+        assert trigger.disarms == 1
+
+    def test_fire_cancels_primary_and_reports_its_consumed_service(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+        target = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
+        trigger = _Trigger()
+        peeked = []
+
+        def build(t_fire, consumed_ms):
+            peeked.append((t_fire, consumed_ms))
+            return Work(target, 5.0)
+
+        outcomes = []
+        self._run(sched, primary, 30.0, trigger, build, outcomes)
+        sched.call_at(12.0, lambda: trigger.fire())
+        sched.run()
+        (outcome,) = outcomes
+        assert peeked == [(12.0, 12.0)]
+        assert outcome.fired and outcome.leg_won
+        assert outcome.fired_ms == 12.0
+        # The outcome's consumed service is what ``cancel`` returned,
+        # which is what the builder was shown before committing.
+        assert outcome.cancelled_ms == 12.0
+        assert primary.cancelled_jobs == 1 and primary.depth == 0
+        assert primary.busy_ms == 12.0
+        assert outcome.completion.queue == "S2"
+        assert outcome.completion.finished_ms == 17.0
+        assert trigger.disarms == 1
+
+    def test_consumed_matches_cancel_under_processor_sharing(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="ps")
+        target = ServerQueue("S2", sched, capacity=1.0)
+        primary.submit(100.0, lambda c: None)  # shares the server
+        trigger = _Trigger()
+        peeked = []
+
+        def build(t_fire, consumed_ms):
+            peeked.append(consumed_ms)
+            return Work(target, 1.0)
+
+        outcomes = []
+        self._run(sched, primary, 40.0, trigger, build, outcomes)
+        sched.call_at(10.0, lambda: trigger.fire())
+        sched.run()
+        (outcome,) = outcomes
+        assert peeked == [5.0]  # half the server for 10ms
+        assert outcome.cancelled_ms == peeked[0]
+
+    def test_declined_fire_stays_armed_and_a_later_fire_succeeds(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+        target = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
+        trigger = _Trigger()
+        calls = []
+
+        def build(t_fire, consumed_ms):
+            calls.append(t_fire)
+            return None if len(calls) == 1 else Work(target, 5.0)
+
+        outcomes = []
+        self._run(sched, primary, 30.0, trigger, build, outcomes)
+        sched.call_at(5.0, lambda: trigger.fire())
+        sched.call_at(10.0, lambda: trigger.fire())
+        sched.run()
+        (outcome,) = outcomes
+        assert calls == [5.0, 10.0]
+        assert trigger.disarms == 1  # the decline did not disarm
+        assert outcome.fired_ms == 10.0
+        assert outcome.completion.finished_ms == 15.0
+
+    def test_at_most_one_fire(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+        target = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
+        trigger = _Trigger()
+        calls = []
+
+        def build(t_fire, consumed_ms):
+            calls.append(t_fire)
+            return Work(target, 20.0)
+
+        outcomes = []
+        self._run(sched, primary, 30.0, trigger, build, outcomes)
+        for t_ms in (5.0, 10.0, 40.0):
+            sched.call_at(t_ms, lambda: trigger.fire())
+        sched.run()
+        (outcome,) = outcomes
+        assert calls == [5.0]
+        assert target.served == 1 and primary.cancelled_jobs == 1
+        assert trigger.disarms == 1
+
+    def test_fire_during_arm_is_honoured_then_disarmed(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+        target = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
+        trigger = _Trigger()
+
+        def arm(fire):
+            disarm = trigger.arm(fire)
+            fire()  # the trigger is already tripped when installed
+            return disarm
+
+        outcomes = []
+        self._run(
+            sched, primary, 30.0, trigger,
+            lambda t, c: Work(target, 5.0), outcomes, arm=arm,
+        )
+        sched.run()
+        (outcome,) = outcomes
+        assert outcome.fired_ms == 0.0 and outcome.leg_won
+        assert outcome.cancelled_ms == 0.0
+        assert outcome.completion.finished_ms == 5.0
+        assert trigger.disarms == 1
+
+    def test_declined_fire_during_arm_stays_armed(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+        trigger = _Trigger()
+
+        def arm(fire):
+            disarm = trigger.arm(fire)
+            fire()
+            return disarm
+
+        outcomes = []
+        self._run(
+            sched, primary, 30.0, trigger, lambda t, c: None, outcomes,
+            arm=arm,
+        )
+        assert trigger.disarms == 0
+        sched.run()
+        (outcome,) = outcomes
+        assert not outcome.fired
+        assert outcome.completion.sojourn_ms == 30.0
+        assert trigger.disarms == 1
+
+    def test_fire_after_settle_is_ignored(self):
+        sched = EventScheduler()
+        primary = ServerQueue("S1", sched, capacity=1.0)
+        trigger = _Trigger()
+        calls = []
+        outcomes = []
+        self._run(
+            sched, primary, 10.0, trigger,
+            lambda t, c: calls.append(t), outcomes,
+        )
+        sched.call_at(20.0, lambda: trigger.fire())
+        sched.run()
+        assert calls == [] and len(outcomes) == 1
+        assert trigger.disarms == 1
